@@ -38,7 +38,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Coupling outside the discrete-spectrum domain 0 < g < 1/2."""
+    """Coupling outside the discrete-spectrum domain 0 < g < 1/2, or non-finite Delta."""
 
 
 class Branch(enum.Enum):
@@ -100,12 +100,15 @@ def derive_params(g: float, delta: float) -> ModelParams:
 
     Raises:
         DomainError: if g is outside (0, 1/2), where the spectrum is no
-            longer discrete (or the model degenerates).
+            longer discrete (or the model degenerates), or if delta is not
+            finite.
     """
     if not (0.0 < g < 0.5) or math.isnan(g):
         raise DomainError(
             f"coupling g={g!r} outside the discrete-spectrum domain (0, 1/2)"
         )
+    if not math.isfinite(delta):
+        raise DomainError(f"level splitting delta={delta!r} must be finite")
     lam = (math.log1p(2.0 * g) - math.log1p(-2.0 * g)) / 8.0
     omega = math.sqrt((1.0 - 2.0 * g) * (1.0 + 2.0 * g))
     gamma = math.tanh(2.0 * lam) / 2.0

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import polys
@@ -108,11 +107,6 @@ class SpectrumModel:
         )
 
 
-def _log_fact_table(top: int) -> np.ndarray:
-    """lt[j] = log(j!) for j = 0..top (cumulative-sum table)."""
-    return np.cumsum(np.concatenate(([0.0], np.log(np.arange(1.0, top + 1)))))
-
-
 def v_tilde(m: int, n: int, params: ModelParams) -> float:
     """Single element of the transformed perturbation matrix."""
     if m < 0 or n < 0:
@@ -143,110 +137,85 @@ def v_tilde(m: int, n: int, params: ModelParams) -> float:
     return sign * math.exp(log_abs)
 
 
-def _row_double(g: float, delta: float, n: int, ks: np.ndarray, x: float,
-                lg: np.ndarray) -> tuple[np.ndarray, float]:
-    """Double log-space row evaluation; returns (values, max scaled log term)."""
-    log2x = math.log(2.0 * x)
-    base = math.log(abs(delta) / 2.0) + 0.5 * math.log(math.sqrt(1.0 - 4.0 * g * g))
-    logg = math.log(g)
-    values = np.zeros(ks.size)
-    worst = -math.inf
-    for i, k in enumerate(ks):
-        d = min(int(k), n)
-        mbig = max(int(k), n)
-        s = abs(int(k) - n) // 2
-        js = np.arange(d // 2 + 1)
-        pref = (
-            base
-            + 0.5 * (k + n) * logg
-            + 0.5 * (lg[mbig] - lg[d])
-            + lg[d]
-            + (d - 2 * js) * log2x
-            - lg[js]
-            - lg[d - 2 * js]
-            - lg[s + js]
-        )
-        peak = float(np.max(pref))
-        worst = max(worst, peak + math.log(js.size))
-        signs = np.where(js % 2 == 0, 1.0, -1.0)
-        total = float(np.sum(signs * np.exp(pref - peak)))
-        lsign = (-1.0) ** (d // 2) * math.copysign(1.0, delta)
-        if total != 0.0 and peak + math.log(abs(total)) > -745.0:
-            values[i] = lsign * math.copysign(1.0, total) * math.exp(peak + math.log(abs(total)))
-    return values, worst
+# Rescaling threshold of the recurrence passes (far from overflow).
+_HUGE = 1e150
 
 
-def _row_mp(g: float, delta: float, n: int, ks: np.ndarray, dps: int) -> np.ndarray:
-    """Multiprecision row evaluation at a fixed working precision.
+def _recur(a: list[float], b: list[float], c: list[float]) -> np.ndarray:
+    """Solution of c_i x_{i+1} = a_i x_i - b_i x_{i-1} from x_{-1} = 0, x_0 = 1.
 
-    For the part k >= n all entries share the degree-n coefficient table and
-    a sliding inverse-factorial table over s; each entry below the diagonal
-    is its own lower-degree polynomial.
+    Returns x_0..x_len(a), scaled by the largest |x_i|; the prefix is scaled
+    down whenever an entry passes 1e150, so growing solutions never overflow.
     """
-    values = np.zeros(ks.size)
-    with mp.workdps(dps):
-        gm = mp.mpf(g)
-        om = mp.sqrt(1 - 4 * gm * gm)
-        x2 = om / gm  # 2x
-        half = mp.mpf(abs(delta)) / 2 * mp.sqrt(om)
-        sd = math.copysign(1.0, delta)
-        # Coefficients a_j = (-1)^j n! (2x)^{n-2j} / (j! (n-2j)!).
-        a = [x2**n]
-        for j in range(1, n // 2 + 1):
-            a.append(-a[-1] * (n - 2 * j + 2) * (n - 2 * j + 1) / (j * x2 * x2))
-        s_max = (int(ks[-1]) - n) // 2 if ks[-1] >= n else 0
-        inv_fact = [mp.mpf(1)]
-        for t in range(1, s_max + n // 2 + 1):
-            inv_fact.append(inv_fact[-1] / t)
-        sign_n = (-1.0) ** (n // 2) * sd
-        pref = half * gm**n  # prefactor at k = n: (|Delta|/2) sqrt(om) g^n
-        pref_down = pref
-        for i, k in enumerate(ks):
-            k = int(k)
-            if k >= n:
-                s = (k - n) // 2
-                if k > n:
-                    pref *= gm * mp.sqrt(mp.mpf((k - 1) * k))
-                poly = mp.fsum(a[j] * inv_fact[s + j] for j in range(len(a)))
-                values[i] = float(sign_n * pref * poly)
-        # Walk downward for k < n (reverse order keeps the prefactor sliding).
-        for i in range(ks.size - 1, -1, -1):
-            k = int(ks[i])
-            if k >= n:
-                continue
-            pref_down *= mp.sqrt(mp.mpf((k + 1) * (k + 2))) / gm
-            s = (n - k) // 2
-            term = x2**k / mp.factorial(s)
-            poly = term
-            for j in range(1, k // 2 + 1):
-                term = -term * (k - 2 * j + 2) * (k - 2 * j + 1) / (j * x2 * x2 * (s + j))
-                poly += term
-            values[i] = float((-1.0) ** (k // 2) * sd * pref_down * poly)
-    return values
+    x = np.empty(len(a) + 1)
+    x[0] = cur = 1.0
+    prev = 0.0
+    for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
+        prev, cur = cur, (ai * cur - bi * prev) / ci
+        if abs(cur) > _HUGE:
+            x[: i + 1] /= _HUGE
+            prev /= _HUGE
+            cur /= _HUGE
+        x[i + 1] = cur
+    return x / np.max(np.abs(x))
+
+
+def _squeezed_column(g: float, n: int) -> np.ndarray:
+    """Column n of U(2 lam) on its parity sites j (Fock index 2j + n % 2).
+
+    The column is the unit eigenvector, positive at j = 0, of the H0 parity
+    chain at coupling g2 = 2g/(1+4g^2) for the eigenvalue w2 (n+1/2) - 1/2,
+    w2 = (1-4g^2)/(1+4g^2).  Divided by g2, the chain equation at site j
+    (k = 2j + p) reads
+
+        s_{j-1} x_{j-1} + s_j x_{j+1} = t_j x_j,   s_j = sqrt((k+1)(k+2)),
+        t_j = (n - k) (1/(2g) + 2g) - 4g (n + 1/2).
+
+    The forward recurrence runs from j = 0 to n//2 + 1 and the backward one
+    (Miller) from a deep start K down to n//2; the two are joined by the
+    least-squares scale over sites n//2 and n//2 + 1.  Past the outer
+    turning point k = n (1+2g)/(1-2g) the column decays; from twice that
+    index on, each site shrinks it by at least r2, the decaying root of
+    r + 1/r = (1+2g)^2/(4g) (the large-k chain ratio there).  K is placed
+    370 decades further, so every entry above double underflow carries a
+    start error below 1e-40, and K depends on n alone: rows of any cutoff
+    are prefixes of one column.
+    """
+    p = n % 2
+    turn = n * (1.0 + 2.0 * g) / (2.0 * (1.0 - 2.0 * g))
+    lead = (1.0 + 2.0 * g) ** 2
+    r2 = 8.0 * g / (lead + (1.0 - 2.0 * g) * math.sqrt(lead + 8.0 * g))
+    top = math.ceil(2.0 * turn + 370.0 * math.log(10.0) / -math.log(r2)) + 2
+    if top > MAX_ELEMENT_INDEX:
+        raise ValueError(
+            f"column {n} at g={g} spans {top} chain sites, beyond the work budget "
+            f"{MAX_ELEMENT_INDEX}"
+        )
+    fock = 2.0 * np.arange(top + 1) + p
+    t = ((n - fock) * (0.5 / g + 2.0 * g) - 4.0 * g * (n + 0.5)).tolist()
+    s = np.sqrt((fock + 1.0) * (fock + 2.0)).tolist()
+    m = n // 2
+    fwd = _recur(t[: m + 1], [0.0] + s[:m], s[: m + 1])
+    back = _recur(t[:m:-1], s[:m:-1], s[top - 1 : m - 1 if m else None : -1])[::-1]
+    scale = np.dot(fwd[m:], back[:2]) / np.dot(back[:2], back[:2])
+    x = np.concatenate((fwd[: m + 1], scale * back[1:]))
+    x /= np.max(np.abs(x))
+    return x / np.linalg.norm(x)
 
 
 @lru_cache(maxsize=64)
 def _v_row_cached(g: float, delta: float, n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row V~_{k,n} for k = parity(n)..cutoff sharing n's parity.
+    """Row V~_{k,n} for k = parity(n)..cutoff sharing n's parity, as read-only arrays.
 
-    Runs the vectorized double pass first; if the largest intermediate term
-    would leave absolute roundoff above ~1e-13, redoes the row at a
-    multiprecision level sized from that term.
+    V~_{k,n} = (Delta/2) (-1)^floor(k/2) U(2 lam)_{k,n}; entries past the
+    computed column are below double underflow and stay zero.
     """
-    parity = n % 2
-    ks = np.arange(parity, cutoff + 1, 2)
-    if delta == 0.0:
-        return ks, np.zeros(ks.size)
-    omega = math.sqrt(1.0 - 4.0 * g * g)
-    x = omega / (2.0 * g)
-    lg = _log_fact_table(int(max(cutoff, n)) + 1)
-    values, worst = _row_double(g, delta, n, ks, x, lg)
-    # Double-path absolute roundoff is ~50 eps times the largest scaled term
-    # mass (the factor covers the cumulative log-factorial table bias).
-    abs_tol = 1e-13
-    if worst > 700.0 or math.exp(min(worst, 700.0)) * 50.0 * np.finfo(float).eps > abs_tol:
-        dps = int((worst - math.log(abs_tol)) / math.log(10.0)) + 12
-        values = _row_mp(g, delta, n, ks, max(dps, 30))
+    ks = np.arange(n % 2, cutoff + 1, 2)
+    values = np.zeros(ks.size)
+    if delta != 0.0:
+        x = _squeezed_column(g, n)[: ks.size]
+        values[: x.size] = np.where(np.arange(x.size) % 2 == 0, 0.5, -0.5) * delta * x
+    ks.setflags(write=False)
     values.setflags(write=False)
     return ks, values
 

@@ -109,22 +109,18 @@ class PolyValue:
         return self.condition > CANCELLATION_CONDITION
 
 
-def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float]:
-    """Double log-space evaluation: returns (sign, log_abs, condition).
+def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
+    """Double log-space evaluation: returns (sign, log_abs, condition, peak_log).
 
-    The largest term is factored out and the signed ratios are accumulated
-    with Neumaier compensation.
+    The largest term (log magnitude ``peak_log``) is factored out and the
+    signed ratios are accumulated with Neumaier compensation.
     """
     if x == 0.0:
-        if n % 2:
-            return 0.0, -math.inf, 1.0
         k = n // 2
-        log_abs = (
-            math.lgamma(n + 1)
-            - math.lgamma(k + 1)
-            - math.lgamma(s + k + 1)
-        )
-        return (-1.0) ** k, log_abs, 1.0
+        peak = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(s + k + 1)
+        if n % 2:
+            return 0.0, -math.inf, 1.0, peak
+        return (-1.0) ** k, peak, 1.0, peak
     log2x = math.log(abs(2.0 * x))
     sign2x = 1.0 if x > 0 else -1.0
     ks = np.arange(n // 2 + 1)
@@ -157,9 +153,9 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float]:
     total += comp
     abs_mass = float(np.sum(np.abs(ratios)))
     if total == 0.0:
-        return 0.0, -math.inf, math.inf
+        return 0.0, -math.inf, math.inf, peak
     condition = abs_mass / abs(total)
-    return math.copysign(1.0, total), peak + math.log(abs(total)), condition
+    return math.copysign(1.0, total), peak + math.log(abs(total)), condition, peak
 
 
 def _mp_sum(n: int, s: int, x: float, dps: int) -> mp.mpf:
@@ -202,28 +198,11 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale."""
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
-    sign, log_abs, condition = _double_sum(n, s, float(x))
-    peak = _peak_log(n, s, float(x))
+    sign, log_abs, condition, peak = _double_sum(n, s, float(x))
     err_est = condition * (abs(peak) + 50.0) * 3.0 * float(np.finfo(float).eps)
     if math.isfinite(condition) and err_est <= _ESCALATE_REL_ERROR:
         return PolyValue(sign, log_abs, condition, False)
     return _escalated_parts(n, s, float(x), condition, peak, log_abs)
-
-
-def _peak_log(n: int, s: int, x: float) -> float:
-    if x == 0.0:
-        k = n // 2
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(s + k + 1)
-    log2x = math.log(abs(2.0 * x))
-    lg_n = math.lgamma(n + 1)
-    return max(
-        lg_n
-        + (n - 2 * k) * log2x
-        - math.lgamma(k + 1)
-        - math.lgamma(n - 2 * k + 1)
-        - math.lgamma(s + k + 1)
-        for k in range(n // 2 + 1)
-    )
 
 
 def p_fast(n: int, s: int, x: float) -> float:

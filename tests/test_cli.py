@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestSpectrum:
         code = run_cli(["spectrum", "--g", "0.6"], tmp_path)
         assert code == 2
         assert "(0, 1/2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_exit_2(self, tmp_path, capsys, delta):
+        start = time.monotonic()
+        code = run_cli(["spectrum", "--delta", delta], tmp_path)
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "delta" in err and "Traceback" not in err
+        assert elapsed < 1.0
 
     def test_output_idempotent_format(self, tmp_path, capsys):
         args = ["spectrum", "--g", "0.3", "--delta", "1", "--levels", "4", "--tol", "1e-9"]

@@ -69,6 +69,11 @@ class TestDeriveParams:
         with pytest.raises(DomainError):
             derive_params(g, 1.0)
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            derive_params(0.2, delta)
+
 
 class TestBuildChain:
     def test_two_by_two_closed_form(self):
