@@ -12,7 +12,7 @@ from .eigensolve import (
     Spectrum,
     converged_levels,
     eigenvalues_bisection,
-    eigenvalues_jacobi,
+    eigenvalues_dense,
     sturm_count,
 )
 from .model import (
@@ -46,6 +46,7 @@ from .perturb import (
 from .polys import (
     AsymValue,
     CancellationWarning,
+    EscalationError,
     PhaseSpec,
     PolyValue,
     TurningPointError,
@@ -78,6 +79,7 @@ __all__ = [
     "ConvergenceError",
     "DegenerateGapError",
     "DomainError",
+    "EscalationError",
     "ModelParams",
     "Parity",
     "PhaseSpec",
@@ -92,7 +94,7 @@ __all__ = [
     "delta_n",
     "derive_params",
     "eigenvalues_bisection",
-    "eigenvalues_jacobi",
+    "eigenvalues_dense",
     "factorization_residual",
     "h0_transform_residual",
     "hyper_f",

@@ -431,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(os.environ.get("RABI_SPECTRA_CONFIG"))
         opts = _resolve(args, cfg)
         return _COMMANDS[args.command](opts)
-    except ConvergenceError as exc:
+    except (ConvergenceError, polys.EscalationError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
     except (DomainError, ValueError) as exc:

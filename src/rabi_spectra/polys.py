@@ -32,6 +32,7 @@ __all__ = [
     "MAX_EXACT_DEGREE",
     "CANCELLATION_CONDITION",
     "CancellationWarning",
+    "EscalationError",
     "TurningPointError",
     "PolyValue",
     "AsymValue",
@@ -57,6 +58,10 @@ _MAX_DPS = 20_000
 
 class CancellationWarning(UserWarning):
     """The double-precision alternating sum was ill-conditioned."""
+
+
+class EscalationError(RuntimeError):
+    """Multiprecision refinement did not stabilize below the precision cap."""
 
 
 class TurningPointError(ValueError):
@@ -191,7 +196,9 @@ def _escalated_parts(n: int, s: int, x: float, condition: float, peak_log: float
                 return PolyValue(sign, float(mp.log(abs(val))), condition, True)
         prev = val
         dps = int(dps * 1.6) + 20
-    raise RuntimeError("multiprecision refinement failed to stabilize")
+    raise EscalationError(
+        f"multiprecision refinement of P_{n}^({s})({x!r}) failed to stabilize below {_MAX_DPS} digits"
+    )
 
 
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:

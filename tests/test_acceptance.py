@@ -244,10 +244,10 @@ def test_criterion_11_eigensolver_oracle_equivalence():
         dim = int(RNG.integers(2, 65))
         t = rs.SymTriMatrix(diag=RNG.normal(0, 3, dim), off=RNG.normal(0, 2, dim - 1))
         bis = rs.eigenvalues_bisection(t, tol).values
-        jac = rs.eigenvalues_jacobi(t.to_dense(), 1e-13).values
-        worst_pair = max(worst_pair, float(np.max(np.abs(bis - jac))))
+        dense = rs.eigenvalues_dense(t.to_dense()).values
+        worst_pair = max(worst_pair, float(np.max(np.abs(bis - dense))))
     p = rs.derive_params(0.3, 1.2)
-    full = rs.eigenvalues_jacobi(rs.build_full_branch(p, rs.Branch.PLUS, 64).to_dense(), 1e-13)
+    full = rs.eigenvalues_dense(rs.build_full_branch(p, rs.Branch.PLUS, 64).to_dense())
     merged = np.sort(
         np.concatenate(
             [
@@ -262,6 +262,6 @@ def test_criterion_11_eigensolver_oracle_equivalence():
     report(
         11,
         worst_pair < 10 * tol and worst_split < 1e-10,
-        f"max |bisection - Jacobi| = {worst_pair:.2e} (< {10 * tol:.0e}, 200 random); "
+        f"max |bisection - LAPACK| = {worst_pair:.2e} (< {10 * tol:.0e}, 200 random); "
         f"parity-split residual at N=64 = {worst_split:.2e} (< 1e-10)",
     )

@@ -106,6 +106,20 @@ class TestSpectrum:
         assert run_cli(["spectrum", "--levels", "3"], tmp_path) == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    def test_levels_beyond_budget_exit_3_fast(self, tmp_path, capsys):
+        start = time.monotonic()
+        code = run_cli(["spectrum", "--levels", "1000000"], tmp_path)
+        elapsed = time.monotonic() - start
+        assert code == 3
+        assert "cap" in capsys.readouterr().err
+        assert elapsed < 1.0
+
+    def test_tol_below_floor_exit_2(self, tmp_path, capsys):
+        code = run_cli(["spectrum", "--levels", "5", "--tol", "1e-300"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "floor" in err and "Traceback" not in err
+
 
 class TestResiduals:
     def test_zero_delta_and_column_arithmetic(self, tmp_path, capsys):
@@ -185,6 +199,21 @@ class TestPoly:
 
     def test_parity_mismatch_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "3", "--m", "4"], tmp_path) == 2
+
+    def test_escalation_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        import mpmath as mp
+
+        import rabi_spectra.polys as polys
+
+        monkeypatch.setattr(polys, "_mp_sum", lambda n, s, x, dps: mp.mpf(dps))
+        code = run_cli(
+            ["poly", "--n", "401", "--m", "401", "--x-min", "2.29", "--x-max", "2.29",
+             "--points", "1"],
+            tmp_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "non-convergence" in err and "Traceback" not in err
 
     def test_malformed_range_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "2", "--m", "2", "--x-min", "3", "--x-max", "1"], tmp_path) == 2

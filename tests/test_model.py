@@ -17,7 +17,7 @@ from rabi_spectra import (
     build_full_branch,
     derive_params,
     eigenvalues_bisection,
-    eigenvalues_jacobi,
+    eigenvalues_dense,
 )
 
 EPS = np.finfo(float).eps
@@ -101,8 +101,8 @@ class TestBuildChain:
         p = derive_params(0.2, 1.0)
         t = build_chain(p, ChainSelector(Branch.PLUS, Parity.ODD), 4)
         bis = eigenvalues_bisection(t, 1e-13).values
-        jac = eigenvalues_jacobi(t.to_dense(), 1e-14).values
-        np.testing.assert_allclose(bis, jac, atol=1e-12)
+        dense = eigenvalues_dense(t.to_dense()).values
+        np.testing.assert_allclose(bis, dense, atol=1e-12)
 
     def test_fock_indexing(self):
         p = derive_params(0.3, 2.0)
@@ -143,13 +143,13 @@ class TestBuildFullBranch:
                 ]
             )
         )
-        dense = eigenvalues_jacobi(full.to_dense(), 1e-13).values
+        dense = eigenvalues_dense(full.to_dense()).values
         np.testing.assert_allclose(dense, merged, atol=1e-10)
 
     def test_branch_symmetry_at_zero_delta(self):
         p = derive_params(0.4, 0.0)
-        plus = eigenvalues_jacobi(build_full_branch(p, Branch.PLUS, 6).to_dense(), 1e-13).values
-        minus = eigenvalues_jacobi(build_full_branch(p, Branch.MINUS, 6).to_dense(), 1e-13).values
+        plus = eigenvalues_dense(build_full_branch(p, Branch.PLUS, 6).to_dense()).values
+        minus = eigenvalues_dense(build_full_branch(p, Branch.MINUS, 6).to_dense()).values
         np.testing.assert_allclose(plus, minus, atol=1e-12)
 
     def test_dimension_guard(self):

@@ -10,6 +10,7 @@ import pytest
 
 from rabi_spectra import (
     CancellationWarning,
+    EscalationError,
     PhaseSpec,
     TurningPointError,
     derive_params,
@@ -89,6 +90,14 @@ class TestFast:
         sign, log_abs = exact_log_value(150, 0, Fraction(MODEL_X))
         assert math.copysign(1.0, value) == sign
         assert abs(parts.log_abs - log_abs) < 1e-12
+
+    def test_escalation_failure_raises_escalation_error(self, monkeypatch):
+        import rabi_spectra.polys as polys
+
+        # Successive precisions that never agree exhaust the precision cap.
+        monkeypatch.setattr(polys, "_mp_sum", lambda n, s, x, dps: mp.mpf(dps))
+        with pytest.raises(EscalationError, match="failed to stabilize"):
+            p_fast_parts(150, 0, MODEL_X)
 
     def test_model_point_contract_to_degree_200(self):
         # Relative 1e-10 against the exact oracle at x = omega/(2g).
