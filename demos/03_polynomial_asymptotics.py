@@ -41,7 +41,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", CancellationWarning)
     for n in (50, 100, 200, 400):
         parts = p_fast_parts(n, 0, x)
-        note = "multiprecision" if parts.escalated else "double"
+        note = "exact integer sum" if parts.escalated else "double"
         print(
             f"  degree {n:4}: condition {parts.condition:9.2e} -> {note}; "
             f"log|P| = {parts.log_abs:10.3f}"

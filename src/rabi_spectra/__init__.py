@@ -46,7 +46,6 @@ from .perturb import (
 from .polys import (
     AsymValue,
     CancellationWarning,
-    EscalationError,
     PhaseSpec,
     PolyValue,
     TurningPointError,
@@ -79,7 +78,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateGapError",
     "DomainError",
-    "EscalationError",
     "ModelParams",
     "Parity",
     "PhaseSpec",

@@ -40,6 +40,9 @@ from .model import Branch, ChainSelector, DomainError, Parity, derive_params
 
 __all__ = ["main"]
 
+# Largest x grid that `poly` tabulates.
+MAX_POINTS = 100_000
+
 _BRANCHES = {"plus": Branch.PLUS, "minus": Branch.MINUS}
 _PARITIES = {"even": Parity.EVEN, "odd": Parity.ODD}
 
@@ -388,10 +391,12 @@ def cmd_poly(opts: dict[str, object]) -> int:
         raise ValueError("requires 0 <= n <= m")
     if (m_full - n_full) % 2:
         raise ValueError("parity mismatch: n and m must share parity")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError("--x-min and --x-max must be finite")
     if x_min > x_max:
         raise ValueError("malformed range: x-min must not exceed x-max")
-    if points < 1:
-        raise ValueError("--points must be at least 1")
+    if not 1 <= points <= MAX_POINTS:
+        raise ValueError(f"--points must be in [1, {MAX_POINTS}]")
     s = (m_full - n_full) // 2
     grid = np.linspace(x_min, x_max, points)
     rows = []
@@ -431,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(os.environ.get("RABI_SPECTRA_CONFIG"))
         opts = _resolve(args, cfg)
         return _COMMANDS[args.command](opts)
-    except (ConvergenceError, polys.EscalationError) as exc:
+    except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
     except (DomainError, ValueError) as exc:

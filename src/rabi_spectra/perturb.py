@@ -27,7 +27,7 @@ import numpy as np
 from . import polys
 from .eigensolve import Spectrum, converged_levels
 from .model import Branch, ChainSelector, ModelParams, Parity
-from .squeeze import MAX_ELEMENT_INDEX
+from .polys import MAX_ELEMENT_INDEX
 
 __all__ = [
     "DegenerateGapError",

@@ -4,16 +4,19 @@
 
 Three evaluation routes are provided and cross-validated:
 
-* :func:`p_exact` — exact integer/rational arithmetic, the ground truth;
+* :func:`p_exact` — exact rational value, the ground truth;
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
   sum cancels catastrophically for large degree (the condition number grows
   roughly like e^{0.26 n} at the model's evaluation point), so the double
-  path carries a condition estimate and escalates to adaptive-precision
-  mpmath summation whenever it is no longer trustworthy;
+  path carries a condition estimate and escalates to the exact integer sum
+  at the (dyadic rational) double argument whenever it is no longer
+  trustworthy;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a phase integral), valid for s/lambda -> 0.
 
+:func:`p_exact`, the :func:`p_fast` escalation and the factorization check
+of :mod:`rabi_spectra.squeeze` share one integer kernel, :func:`_exact_sum`.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
 represents the same polynomials, giving an independent exact oracle.
 """
@@ -25,14 +28,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
     "MAX_EXACT_DEGREE",
+    "MAX_ELEMENT_INDEX",
     "CANCELLATION_CONDITION",
     "CancellationWarning",
-    "EscalationError",
     "TurningPointError",
     "PolyValue",
     "AsymValue",
@@ -47,25 +49,47 @@ __all__ = [
 ]
 
 MAX_EXACT_DEGREE = 400
+# Largest polynomial degree or matrix-element index accepted anywhere.
+MAX_ELEMENT_INDEX = 100_000
 # Double-path condition above which the cancellation flag is raised.
 CANCELLATION_CONDITION = 1e12
-# Estimated double-path relative error above which mpmath refinement runs.
-# The per-term accuracy in log space is ~|log term| * eps, amplified by the
-# condition number of the alternating sum.
+# Estimated double-path relative error above which the exact integer sum
+# replaces the double result.  The per-term accuracy in log space is
+# ~|log term| * eps, amplified by the condition number of the alternating sum.
 _ESCALATE_REL_ERROR = 1e-11
-_MAX_DPS = 20_000
+# ln 2 split so that e * _LN2_HI is exact for |e| < 2^21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 class CancellationWarning(UserWarning):
     """The double-precision alternating sum was ill-conditioned."""
 
 
-class EscalationError(RuntimeError):
-    """Multiprecision refinement did not stabilize below the precision cap."""
-
-
 class TurningPointError(ValueError):
     """Phase integrand would become imaginary inside the integration interval."""
+
+
+def _exact_sum(n: int, s: int, x: Fraction) -> tuple[int, int]:
+    """Integers (w, d) with P_n^{(s)}(x) = w / d exactly, d > 0.
+
+    With x = u/v and K = n // 2, d = v^n (s+K)! and w = sum_k (-1)^k d_k
+    (2u)^{n-2k}, where d_k = n! (s+K)! v^{2k} / (k! (n-2k)! (s+k)!) are
+    integers reached from d_0 = (s+K)!/s! by exact small-factor steps, and
+    the sum runs by Horner's rule in (2u)^2.
+    """
+    u, v = x.numerator, x.denominator
+    half = n // 2
+    coeff = math.perm(s + half, half)
+    y = 4 * u * u
+    v2 = v * v
+    acc = 0
+    for k in range(half + 1):
+        acc = acc * y + (-coeff if k % 2 else coeff)
+        coeff = coeff * v2 * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (s + k + 1))
+    if n % 2:
+        acc *= 2 * u
+    return acc, v**n * math.factorial(s + half)
 
 
 def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
@@ -74,17 +98,7 @@ def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if n > MAX_EXACT_DEGREE:
         raise ValueError(f"exact evaluation guarded to degree {MAX_EXACT_DEGREE}")
-    two_x = 2 * Fraction(x)
-    nfact = math.factorial(n)
-    total = Fraction(0)
-    for k in range(n // 2 + 1):
-        total += (
-            (-1) ** k
-            * nfact
-            * two_x ** (n - 2 * k)
-            / (math.factorial(k) * math.factorial(n - 2 * k) * math.factorial(s + k))
-        )
-    return total
+    return Fraction(*_exact_sum(n, s, Fraction(x)))
 
 
 @dataclass(frozen=True)
@@ -92,8 +106,8 @@ class PolyValue:
     """Sign / log-magnitude decomposition of a polynomial value.
 
     ``condition`` is the double-path estimate sum|T_k| / |sum T_k|;
-    ``escalated`` records whether multiprecision refinement replaced the
-    double result.  ``value`` overflows to +-inf for log_abs > ~709.
+    ``escalated`` records whether the exact integer sum replaced the double
+    result.  ``value`` overflows to +-inf for log_abs > ~709.
     """
 
     sign: float
@@ -163,59 +177,42 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
     return math.copysign(1.0, total), peak + math.log(abs(total)), condition, peak
 
 
-def _mp_sum(n: int, s: int, x: float, dps: int) -> mp.mpf:
-    """The alternating sum at ``dps`` decimal digits via a term recurrence."""
-    with mp.workdps(dps):
-        two_x = 2 * mp.mpf(x)
-        term = two_x**n / mp.factorial(s)
-        total = term
-        for j in range(1, n // 2 + 1):
-            term = -term * (n - 2 * j + 2) * (n - 2 * j + 1) / (j * two_x * two_x * (s + j))
-            total += term
-        return total
-
-
-def _escalated_parts(n: int, s: int, x: float, condition: float, peak_log: float,
-                     dbl_log_abs: float) -> PolyValue:
-    """Multiprecision refinement, precision chosen adaptively.
-
-    The warm start assumes the double log-magnitude is roughly right; the
-    agreement loop between successive precisions catches the cases where it
-    was pure cancellation noise.
-    """
-    excess = peak_log - dbl_log_abs if math.isfinite(dbl_log_abs) else peak_log
-    dps = 40 + max(0, int(excess / math.log(10)))
-    prev = None
-    while dps <= _MAX_DPS:
-        val = _mp_sum(n, s, x, dps)
-        if prev is not None:
-            if val == prev == 0:
-                return PolyValue(0.0, -math.inf, condition, True)
-            if val != 0 and abs(val - prev) <= abs(val) * mp.mpf(10) ** (-16):
-                sign = 1.0 if val > 0 else -1.0
-                return PolyValue(sign, float(mp.log(abs(val))), condition, True)
-        prev = val
-        dps = int(dps * 1.6) + 20
-    raise EscalationError(
-        f"multiprecision refinement of P_{n}^({s})({x!r}) failed to stabilize below {_MAX_DPS} digits"
-    )
+def _log_ratio(w: int, d: int) -> float:
+    """log(w/d) for integers w, d > 0, from 64 leading bits of the quotient."""
+    e = w.bit_length() - d.bit_length() - 64
+    top = w // (d << e) if e >= 0 else (w << -e) // d
+    e += top.bit_length()
+    return math.fsum((math.log(top / (1 << top.bit_length())), e * _LN2_HI, e * _LN2_LO))
 
 
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
-    """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale."""
+    """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
+
+    Raises:
+        ValueError: for a negative index, a degree above MAX_ELEMENT_INDEX
+            or a non-finite x.
+    """
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
-    sign, log_abs, condition, peak = _double_sum(n, s, float(x))
+    if n > MAX_ELEMENT_INDEX:
+        raise ValueError(f"degree {n} exceeds the configured range {MAX_ELEMENT_INDEX}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"argument x={x!r} must be finite")
+    sign, log_abs, condition, peak = _double_sum(n, s, x)
     err_est = condition * (abs(peak) + 50.0) * 3.0 * float(np.finfo(float).eps)
     if math.isfinite(condition) and err_est <= _ESCALATE_REL_ERROR:
         return PolyValue(sign, log_abs, condition, False)
-    return _escalated_parts(n, s, float(x), condition, peak, log_abs)
+    w, d = _exact_sum(n, s, Fraction(x))
+    if w == 0:
+        return PolyValue(0.0, -math.inf, condition, True)
+    return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(abs(w), d), condition, True)
 
 
 def p_fast(n: int, s: int, x: float) -> float:
     """P_n^{(s)}(x) as a float; warns when the double sum was ill-conditioned.
 
-    The returned value is always the accurate one (multiprecision refinement
+    The returned value is always the accurate one (the exact integer sum
     replaces the double result when needed); the warning only reports that
     the plain double-precision route would have lost the value.
     """
@@ -223,7 +220,7 @@ def p_fast(n: int, s: int, x: float) -> float:
     if parts.cancellation:
         warnings.warn(
             f"alternating sum for P_{n}^{{({s})}} at x={x!r} had condition "
-            f"{parts.condition:.2e}; value refined in multiprecision",
+            f"{parts.condition:.2e}; value taken from the exact integer sum",
             CancellationWarning,
             stacklevel=2,
         )

@@ -15,12 +15,13 @@ top-left quarter block ("certified block") of the truncation.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import polys
 from .model import derive_params
+from .polys import MAX_ELEMENT_INDEX
 
 __all__ = [
     "MAX_ORACLE_DIM",
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 MAX_ORACLE_DIM = 512
-MAX_ELEMENT_INDEX = 100_000
 
 
 def _check_dim(n_dim: int) -> None:
@@ -133,13 +133,18 @@ def u_element(m: int, n: int, lam: float) -> float:
 def factorization_residual(n_dim: int, lam: float) -> float:
     """Max-abs certified-block residual of the normal-ordered factorization.
 
-    Builds e^{-gamma a+^2}, diag(e^{beta (n+1/2)}) and e^{gamma a^2} on the
-    truncation (the outer factors are nilpotent there, so their Taylor series
-    terminate and the entries have closed forms), multiplies them, and
-    compares against the exponential oracle over the top-left quarter block.
-    The triangular banded structure confines the block product to indices
-    inside the block, but its terms cancel catastrophically for strong
-    squeezing, so the product is accumulated at 50 decimal digits.
+    Multiplies e^{-gamma a+^2}, diag(e^{beta (n+1/2)}) and e^{gamma a^2} on
+    the truncation (the outer factors are nilpotent there, so their Taylor
+    series terminate) and compares against the exponential oracle over the
+    top-left quarter block.  The triangular banded structure confines the
+    block product to indices inside the block.  Its entry (i, j) is
+
+        e^{beta/2} sqrt(i! j!) (-1)^{s [i > j]} gamma^{(i+j)/2} P_n^{(s)}(x) / n!
+
+    with n = min(i, j), s = |i - j|/2 and x = e^beta / (2 gamma).  The sum
+    behind P cancels catastrophically for strong squeezing, so everything
+    but the first two factors is evaluated exactly, in rationals of the
+    doubles gamma and e^beta, by the integer kernel of :mod:`rabi_spectra.polys`.
     """
     _check_dim(n_dim)
     gamma = math.tanh(2.0 * lam) / 2.0
@@ -148,27 +153,19 @@ def factorization_residual(n_dim: int, lam: float) -> float:
     oracle_block = u_matrix_oracle(n_dim, lam)[:q, :q]
     product = np.eye(q)
     if gamma != 0.0:
-        with mp.workdps(50):
-            gm = mp.mpf(gamma)
-            fact = [mp.mpf(1)]
-            for j in range(1, q):
-                fact.append(fact[-1] * j)
-            sqrt_fact = [mp.sqrt(f) for f in fact]
-            middle = [mp.e ** (mp.mpf(beta) * (c + mp.mpf("0.5"))) for c in range(q)]
-            # left[i, c] = (-gamma)^k / k! * sqrt(i!/c!), i = c + 2k;
-            # right[c, j] = gamma^k / k! * sqrt(j!/c!),   c = j - 2k.
-            for i in range(q):
-                for j in range(i % 2, q, 2):
-                    total = mp.mpf(0)
-                    for c in range(i % 2, min(i, j) + 1, 2):
-                        left = (-gm) ** ((i - c) // 2) / fact[(i - c) // 2] * (
-                            sqrt_fact[i] / sqrt_fact[c]
-                        )
-                        right = gm ** ((j - c) // 2) / fact[(j - c) // 2] * (
-                            sqrt_fact[j] / sqrt_fact[c]
-                        )
-                        total += left * middle[c] * right
-                    product[i, j] = float(total)
+        gm = Fraction(gamma)
+        x = Fraction(math.exp(beta)) / (2 * gm)
+        scale = math.exp(beta / 2.0)
+        sqrt_fact = [math.sqrt(math.factorial(k)) for k in range(q)]
+        for n in range(q):
+            for j in range(n, q, 2):
+                s = (j - n) // 2
+                w, d = polys._exact_sum(n, s, x)
+                exact = w * gm.numerator ** (n + s) / (
+                    d * gm.denominator ** (n + s) * math.factorial(n)
+                )
+                product[n, j] = scale * sqrt_fact[n] * sqrt_fact[j] * exact
+                product[j, n] = (-1) ** s * product[n, j]
     return float(np.max(np.abs(product - oracle_block)))
 
 

@@ -200,20 +200,38 @@ class TestPoly:
     def test_parity_mismatch_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "3", "--m", "4"], tmp_path) == 2
 
-    def test_escalation_failure_exit_3(self, tmp_path, monkeypatch, capsys):
-        import mpmath as mp
-
-        import rabi_spectra.polys as polys
-
-        monkeypatch.setattr(polys, "_mp_sum", lambda n, s, x, dps: mp.mpf(dps))
+    def test_degree_beyond_budget_exit_2(self, tmp_path, capsys):
+        start = time.monotonic()
         code = run_cli(
-            ["poly", "--n", "401", "--m", "401", "--x-min", "2.29", "--x-max", "2.29",
+            ["poly", "--n", "400000", "--m", "400000", "--x-min", "2.29", "--x-max", "2.29",
              "--points", "1"],
             tmp_path,
         )
+        elapsed = time.monotonic() - start
         err = capsys.readouterr().err
-        assert code == 3
-        assert "non-convergence" in err and "Traceback" not in err
+        assert code == 2
+        assert "100000" in err and "Traceback" not in err
+        assert elapsed < 1.0
+
+    def test_points_beyond_budget_exit_2(self, tmp_path, capsys):
+        start = time.monotonic()
+        code = run_cli(["poly", "--n", "2", "--m", "2", "--points", str(10**12)], tmp_path)
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--points" in err and "Traceback" not in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("bounds", [("1", "inf"), ("nan", "1"), ("-inf", "inf")])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, bounds):
+        code = run_cli(
+            ["poly", "--n", "500", "--m", "500", f"--x-min={bounds[0]}", f"--x-max={bounds[1]}",
+             "--points", "2"],
+            tmp_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "finite" in err and "Traceback" not in err
 
     def test_malformed_range_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "2", "--m", "2", "--x-min", "3", "--x-max", "1"], tmp_path) == 2
@@ -288,3 +306,11 @@ class TestEntryPoints:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+    def test_import_leaves_out_mpmath(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rabi_spectra; sys.exit('mpmath' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr

@@ -10,7 +10,6 @@ import pytest
 
 from rabi_spectra import (
     CancellationWarning,
-    EscalationError,
     PhaseSpec,
     TurningPointError,
     derive_params,
@@ -25,6 +24,20 @@ from rabi_spectra import (
 
 RNG = np.random.default_rng(424242)
 MODEL_X = derive_params(0.2, 1.0).omega / 0.4
+
+
+def _squeeze_x(g):
+    """x = e^beta / (2 gamma) of the factorization check, in rationals of doubles."""
+    lam = derive_params(g, 1.0).lam
+    gamma = math.tanh(2.0 * lam) / 2.0
+    beta = -math.log(math.cosh(2.0 * lam))
+    return Fraction(math.exp(beta)) / (2 * Fraction(gamma))
+
+
+X_HYPER_EVEN = Fraction(7, 3)
+X_HYPER_ODD = Fraction(4, 5)
+X_MODEL = Fraction(MODEL_X)
+X_STRONG = _squeeze_x(0.45)
 
 
 def exact_log_value(n, s, x_exact):
@@ -91,13 +104,42 @@ class TestFast:
         assert math.copysign(1.0, value) == sign
         assert abs(parts.log_abs - log_abs) < 1e-12
 
-    def test_escalation_failure_raises_escalation_error(self, monkeypatch):
+    def test_degree_beyond_budget_raises(self, monkeypatch):
         import rabi_spectra.polys as polys
 
-        # Successive precisions that never agree exhaust the precision cap.
-        monkeypatch.setattr(polys, "_mp_sum", lambda n, s, x, dps: mp.mpf(dps))
-        with pytest.raises(EscalationError, match="failed to stabilize"):
-            p_fast_parts(150, 0, MODEL_X)
+        def no_double_sum(*args):
+            raise AssertionError("the budget check must come first")
+
+        monkeypatch.setattr(polys, "_double_sum", no_double_sum)
+        with pytest.raises(ValueError, match=str(polys.MAX_ELEMENT_INDEX)):
+            p_fast_parts(polys.MAX_ELEMENT_INDEX + 1, 0, MODEL_X)
+
+    def test_non_finite_argument_raises(self):
+        for n in (3, 300):
+            for x in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    p_fast_parts(n, 0, x)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_escalated_against_mpmath_sum(self, n):
+        # The integer kernel against an independent mpmath sum at 0.6n + 40
+        # digits, both taking the double MODEL_X as an exact binary fraction.
+        for s in (0, 5):
+            parts = p_fast_parts(n, s, MODEL_X)
+            assert parts.escalated
+            with mp.workdps(40 + (6 * n) // 10):
+                two_x = 2 * mp.mpf(MODEL_X)
+                n_fact = mp.factorial(n)
+                total = mp.fsum(
+                    (-1) ** k
+                    * n_fact
+                    * two_x ** (n - 2 * k)
+                    / (mp.factorial(k) * mp.factorial(n - 2 * k) * mp.factorial(s + k))
+                    for k in range(n // 2 + 1)
+                )
+                ref = float(mp.log(abs(total)))
+                assert parts.sign == (1.0 if total > 0 else -1.0)
+            assert abs(parts.log_abs - ref) <= 2 * math.ulp(abs(ref))
 
     def test_model_point_contract_to_degree_200(self):
         # Relative 1e-10 against the exact oracle at x = omega/(2g).
@@ -143,9 +185,19 @@ class TestHyperF:
         with pytest.raises(ValueError):
             hyper_f(2.0, 2, 0.5, 0.3)
 
-    @pytest.mark.parametrize("n_h,m_h", [(0, 0), (1, 3), (4, 4), (7, 12), (12, 12)])
-    def test_identity_even(self, n_h, m_h):
-        x = Fraction(7, 3)
+    @pytest.mark.parametrize(
+        "n_h,m_h,x",
+        [
+            pytest.param(0, 0, X_HYPER_EVEN, id="0-0"),
+            pytest.param(1, 3, X_HYPER_EVEN, id="1-3"),
+            pytest.param(4, 4, X_HYPER_EVEN, id="4-4"),
+            pytest.param(7, 12, X_HYPER_EVEN, id="7-12"),
+            pytest.param(12, 12, X_HYPER_EVEN, id="12-12"),
+            pytest.param(200, 202, X_MODEL, id="200-202-model_x"),
+            pytest.param(200, 202, X_STRONG, id="200-202-squeeze_x_g0.45"),
+        ],
+    )
+    def test_identity_even(self, n_h, m_h, x):
         lhs = p_exact(2 * n_h, m_h - n_h, x)
         rhs = (
             (-1) ** n_h
@@ -154,9 +206,18 @@ class TestHyperF:
         )
         assert lhs == rhs
 
-    @pytest.mark.parametrize("n_h,m_h", [(0, 2), (3, 3), (5, 10), (12, 12)])
-    def test_identity_odd(self, n_h, m_h):
-        x = Fraction(4, 5)
+    @pytest.mark.parametrize(
+        "n_h,m_h,x",
+        [
+            pytest.param(0, 2, X_HYPER_ODD, id="0-2"),
+            pytest.param(3, 3, X_HYPER_ODD, id="3-3"),
+            pytest.param(5, 10, X_HYPER_ODD, id="5-10"),
+            pytest.param(12, 12, X_HYPER_ODD, id="12-12"),
+            pytest.param(150, 160, X_MODEL, id="150-160-model_x"),
+            pytest.param(150, 160, X_STRONG, id="150-160-squeeze_x_g0.45"),
+        ],
+    )
+    def test_identity_odd(self, n_h, m_h, x):
         lhs = p_exact(2 * n_h + 1, m_h - n_h, x)
         rhs = (
             (-1) ** n_h
