@@ -1,10 +1,11 @@
 """The polynomial family behind the matrix elements, three ways.
 
 P_n^{(s)}(x) is evaluated exactly (rational arithmetic), in floating point
-with automatic precision escalation, and through its large-index asymptotic
-form (envelope times cos/sin of a phase integral).  The demo shows the
-catastrophic cancellation that motivates the escalating evaluator and the
-O(1/(n+m)) decay of the asymptotic remainder.
+with a switch to the exact integer sum when the double sum cancels, and
+through its large-index asymptotic form (envelope times cos/sin of a phase
+integral, which has a closed form).  The demo shows the catastrophic
+cancellation that motivates the switch and the O(1/(n+m)) decay of the
+asymptotic remainder.
 """
 
 import math
@@ -47,10 +48,10 @@ with warnings.catch_warnings():
             f"log|P| = {parts.log_abs:10.3f}"
         )
 
-print("\nphase integral vs closed form at s = 0 (y = lambda arctan sinh t):")
+print("\nphase integral at s = 0 against its special case y = lambda arctan sinh t:")
 spec = PhaseSpec(s=0, lambda_hat=40.0, t_max=1.2)
 closed = 40.0 * math.atan(math.sinh(1.2))
-print(f"  quadrature {phase_integral(spec):.14f} vs closed {closed:.14f}")
+print(f"  phase_integral {phase_integral(spec):.14f} vs arctan form {closed:.14f}")
 
 print("\nenvelope-normalized remainder of the asymptotic form at x:")
 with warnings.catch_warnings():

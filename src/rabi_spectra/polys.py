@@ -13,7 +13,7 @@ Three evaluation routes are provided and cross-validated:
   trustworthy;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
-  times cos/sin of a phase integral), valid for s/lambda -> 0.
+  times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
 
 :func:`p_exact`, the :func:`p_fast` escalation and the factorization check
 of :mod:`rabi_spectra.squeeze` share one integer kernel, :func:`_exact_sum`.
@@ -132,7 +132,7 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
     """Double log-space evaluation: returns (sign, log_abs, condition, peak_log).
 
     The largest term (log magnitude ``peak_log``) is factored out and the
-    signed ratios are accumulated with Neumaier compensation.
+    signed ratios are summed exactly rounded by :func:`math.fsum`.
     """
     if x == 0.0:
         k = n // 2
@@ -159,17 +159,7 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
         signs = signs * np.where((n - 2 * ks) % 2 == 0, 1.0, -1.0)
     peak = float(np.max(logs))
     ratios = signs * np.exp(logs - peak)
-    # Neumaier-compensated accumulation of the signed ratios.
-    total = 0.0
-    comp = 0.0
-    for r in ratios:
-        t = total + r
-        if abs(total) >= abs(r):
-            comp += (total - t) + r
-        else:
-            comp += (r - t) + total
-        total = t
-    total += comp
+    total = math.fsum(ratios.tolist())
     abs_mass = float(np.sum(np.abs(ratios)))
     if total == 0.0:
         return 0.0, -math.inf, math.inf, peak
@@ -286,42 +276,18 @@ class PhaseSpec:
         )
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _gl_apply(f, a: float, b: float, order: int) -> float:
-    xs, ws = _gl_nodes(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.sum(ws * f(mid + half * xs)))
-
-
-def _gl_adaptive(f, a: float, b: float, tol: float, depth: int = 0) -> float:
-    coarse = _gl_apply(f, a, b, 15)
-    mid = 0.5 * (a + b)
-    fine = _gl_apply(f, a, mid, 15) + _gl_apply(f, mid, b, 15)
-    if abs(fine - coarse) <= tol:
-        return fine
-    if depth >= 40:
-        # Refinement stalled (square-root behaviour at a nearby turning
-        # point); fall back to one high-order fixed rule on the sliver.
-        return _gl_apply(f, a, b, 64)
-    return _gl_adaptive(f, a, mid, tol / 2.0, depth + 1) + _gl_adaptive(
-        f, mid, b, tol / 2.0, depth + 1
-    )
-
-
 def phase_integral(spec: PhaseSpec) -> float:
-    """y = lambda_hat * integral_0^{t_max} sqrt(1/cosh^2 tau - (s/lambda_hat)^2) dtau.
+    """y = lambda_hat * integral_0^{t_max} sqrt(1/cosh^2 tau - r^2) dtau, r = s/lambda_hat.
 
-    Computed by adaptive Gauss-Legendre quadrature to absolute tolerance
-    1e-12.  For s = 0 this equals lambda_hat * arctan(sinh t) exactly.
+    Closed form: u = sinh tau and then r u = sqrt(1 - r^2) sin phi turn the
+    integral into arctan(tan phi / r) - r phi.  With a = sinh t_max and
+    root = sqrt(1 - r^2 cosh^2 t_max) this is evaluated as
+
+        atan2((1 - r) a root, root^2 + r a^2) + (1 - r) atan2(r a, root),
+
+    the difference atan2(a, root) - atan2(r a, root) folded into one atan2 so
+    that no two terms cancel, and root^2 formed as (1 - r)(1 + r) - (r a)^2.
+    The result is odd in t_max; for s = 0 it is lambda_hat * arctan(sinh t).
 
     Raises:
         TurningPointError: when the integrand would become imaginary inside
@@ -335,14 +301,14 @@ def phase_integral(spec: PhaseSpec) -> float:
         raise TurningPointError(
             f"s/lambda_hat = {r:.6g} exceeds 1/cosh(t_max) = {sech_end:.6g}"
         )
-    r2 = r * r
-
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        sech = 1.0 / np.cosh(tau)
-        return np.sqrt(np.maximum(sech * sech - r2, 0.0))
-
-    value = _gl_adaptive(integrand, 0.0, spec.t_max, 1e-13 / max(1.0, spec.lambda_hat))
-    return spec.lambda_hat * value
+    a = math.sinh(spec.t_max)
+    ra = r * a
+    # Clamped at 0 for endpoints inside the 4-eps slack past the turning point.
+    root2 = max((1.0 - r) * (1.0 + r) - ra * ra, 0.0)
+    root = math.sqrt(root2)
+    return spec.lambda_hat * (
+        math.atan2((1.0 - r) * a * root, root2 + ra * a) + (1.0 - r) * math.atan2(ra, root)
+    )
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,17 @@ class TestPoly:
         assert "100000" in err and "Traceback" not in err
         assert elapsed < 1.0
 
+    def test_degree_1000_table_completes(self):
+        # A subprocess with a timeout, so that a hang fails instead of
+        # stalling the suite.
+        result = subprocess.run(
+            [sys.executable, "-m", "rabi_spectra", "poly", "--n", "1000", "--m", "1004",
+             "--x-min", "0.6", "--x-max", "2.2", "--points", "41"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.strip().splitlines()) == 42
+
     def test_points_beyond_budget_exit_2(self, tmp_path, capsys):
         start = time.monotonic()
         code = run_cli(["poly", "--n", "2", "--m", "2", "--points", str(10**12)], tmp_path)

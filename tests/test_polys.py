@@ -233,6 +233,9 @@ class TestPhaseIntegral:
     def test_zero_offset_closed_form(self):
         y = phase_integral(PhaseSpec(s=0, lambda_hat=10.0, t_max=1.0))
         assert abs(y - 10.0 * math.atan(math.sinh(1.0))) < 1e-12
+        # sinh(t)^2 overflows here; the value must still be finite.
+        y = phase_integral(PhaseSpec(s=0, lambda_hat=10.0, t_max=-400.0))
+        assert abs(y + 5.0 * math.pi) < 1e-12
 
     def test_zero_interval(self):
         assert phase_integral(PhaseSpec(s=2, lambda_hat=40.0, t_max=0.0)) == 0.0
@@ -258,8 +261,35 @@ class TestPhaseIntegral:
         with pytest.raises(ValueError):
             PhaseSpec(s=0, lambda_hat=1.0, t_max=math.inf)
 
+    @pytest.mark.parametrize(
+        "s, lambda_hat",
+        [(s, lam) for s in (0, 2, 9, 40) for lam in (10.0, 400.0, 3000.0) if s < lam],
+    )
+    def test_against_mpmath_quad(self, s, lambda_hat):
+        # Every valid endpoint of +-0.1, +-0.8, +-1.5 and +-0.9999 of the
+        # turning point, against 40-digit tanh-sinh quadrature.
+        t_values = [0.1, 0.8, 1.5]
+        if s > 0:
+            t_values.append(0.9999 * math.acosh(lambda_hat / s))
+        eps = float(np.finfo(float).eps)
+        checked = 0
+        for t_max in t_values + [-t for t in t_values]:
+            if s * math.cosh(t_max) > lambda_hat:
+                continue
+            y = phase_integral(PhaseSpec(s=s, lambda_hat=lambda_hat, t_max=t_max))
+            with mp.workdps(40):
+                r = mp.mpf(s) / mp.mpf(lambda_hat)
+                ref = lambda_hat * mp.quad(
+                    lambda tau: mp.sqrt(mp.sech(tau) ** 2 - r * r), [0, mp.mpf(t_max)]
+                )
+                err = float(abs(y - ref))
+            assert err <= 4.0 * eps * max(1.0, abs(y)), (t_max, y, float(ref))
+            checked += 1
+        assert checked >= 4
+
     def test_near_turning_point_converges(self):
-        # Endpoint close to the turning point exercises the fixed-rule fallback.
+        # Endpoint close to the turning point, where the integrand has a
+        # square-root edge.
         spec = PhaseSpec(s=9, lambda_hat=10.0, t_max=float(np.arccosh(10.0 / 9.0) * 0.9999))
         y = phase_integral(spec)
         assert 0.0 < y < 10.0 * math.atan(math.sinh(spec.t_max))
@@ -314,6 +344,18 @@ class TestAsym:
         for left, right in zip(exact_cross, exact_cross[1:]):
             inside = [c for c in asym_cross if left <= c < right]
             assert len(inside) == 1
+
+    @pytest.mark.parametrize("x", [0.92, 1.08, 1.2, 1.36, 1.88, 1.92, 2.0])
+    def test_degree_1000_against_fast(self, x):
+        # Large lambda_hat: the phase integral must stay cheap and accurate.
+        n_full, m_full = 1000, 1004
+        parts = p_asym_parts(n_full, m_full, x)
+        ref = p_fast_parts(n_full, (m_full - n_full) // 2, x)
+        diff = abs(
+            parts.sign * math.exp(parts.log_abs - parts.log_envelope)
+            - ref.sign * math.exp(ref.log_abs - parts.log_envelope)
+        )
+        assert diff < 20.0 / (n_full + m_full)
 
     def test_even_odd_prefactors_against_fast(self):
         # Single-point agreement to the O(1/(n+m)) remainder scale.
