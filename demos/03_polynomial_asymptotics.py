@@ -9,11 +9,9 @@ asymptotic remainder.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 from rabi_spectra import (
-    CancellationWarning,
     PhaseSpec,
     derive_params,
     hyper_f,
@@ -38,15 +36,13 @@ rhs = (
 print(f"  P_12 - identity rhs = {lhs - rhs} (exact zero)")
 
 print("\ncancellation of the alternating sum at the model point:")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", CancellationWarning)
-    for n in (50, 100, 200, 400):
-        parts = p_fast_parts(n, 0, x)
-        note = "exact integer sum" if parts.escalated else "double"
-        print(
-            f"  degree {n:4}: condition {parts.condition:9.2e} -> {note}; "
-            f"log|P| = {parts.log_abs:10.3f}"
-        )
+for n in (50, 100, 200, 400):
+    parts = p_fast_parts(n, 0, x)
+    note = "exact integer sum" if parts.escalated else "double"
+    print(
+        f"  degree {n:4}: condition {parts.condition:9.2e} -> {note}; "
+        f"log|P| = {parts.log_abs:10.3f}"
+    )
 
 print("\nphase integral at s = 0 against its special case y = lambda arctan sinh t:")
 spec = PhaseSpec(s=0, lambda_hat=40.0, t_max=1.2)
@@ -54,14 +50,12 @@ closed = 40.0 * math.atan(math.sinh(1.2))
 print(f"  phase_integral {phase_integral(spec):.14f} vs arctan form {closed:.14f}")
 
 print("\nenvelope-normalized remainder of the asymptotic form at x:")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", CancellationWarning)
-    for n_full in (100, 200, 400, 800):
-        ref = p_fast_parts(n_full, 0, x)
-        asym = p_asym_parts(n_full, n_full, x)
-        resid = abs(
-            ref.sign * math.exp(ref.log_abs - asym.log_envelope)
-            - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
-        )
-        print(f"  size {2 * n_full:4}: residual {resid:.3e}, residual*(n+m) = {resid * 2 * n_full:.3f}")
+for n_full in (100, 200, 400, 800):
+    ref = p_fast_parts(n_full, 0, x)
+    asym = p_asym_parts(n_full, n_full, x)
+    resid = abs(
+        ref.sign * math.exp(ref.log_abs - asym.log_envelope)
+        - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
+    )
+    print(f"  size {2 * n_full:4}: residual {resid:.3e}, residual*(n+m) = {resid * 2 * n_full:.3f}")
 print("  (the scaled column stays bounded: the remainder is O(1/(n+m)))")

@@ -45,7 +45,6 @@ from .perturb import (
 )
 from .polys import (
     AsymValue,
-    CancellationWarning,
     PhaseSpec,
     PolyValue,
     TurningPointError,
@@ -73,7 +72,6 @@ __all__ = [
     "AsymptoticBreakdown",
     "BandedMatrix",
     "Branch",
-    "CancellationWarning",
     "ChainSelector",
     "ConvergenceError",
     "DegenerateGapError",

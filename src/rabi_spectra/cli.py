@@ -15,11 +15,16 @@ poly
     Tabulates one polynomial index pair across an x grid (exact, fast,
     asymptotic, and envelope columns).
 
+Every option is declared once, in ``_TABLE``, with its default; the default's
+type and ``_CHOICES`` check a flag and a config value alike.  Flags take
+precedence over the optional key=value config file named by
+RABI_SPECTRA_CONFIG, which takes precedence over built-in defaults.  A config
+key that no subcommand knows is an error.
+
 Exit codes: 0 success, 1 verification threshold failure, 2 usage or domain
-error, 3 numerical non-convergence.  Flags take precedence over the optional
-key=value config file named by RABI_SPECTRA_CONFIG, which takes precedence
-over built-in defaults.  All numbers are printed with 17 significant digits
-in the C locale, so outputs are bitwise-reproducible and diff-able.
+error (a bad flag or config value, an unwritable --out file), 3 numerical
+non-convergence.  All numbers are printed with 17 significant digits in the
+C locale, so outputs are bitwise-reproducible and diff-able.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 import numpy as np
 
@@ -43,174 +48,47 @@ __all__ = ["main"]
 # Largest x grid that `poly` tabulates.
 MAX_POINTS = 100_000
 
-_BRANCHES = {"plus": Branch.PLUS, "minus": Branch.MINUS}
+# Choices in the order that --help lists them.
+_BRANCHES = {"minus": Branch.MINUS, "plus": Branch.PLUS}
 _PARITIES = {"even": Parity.EVEN, "odd": Parity.ODD}
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "spectrum": {
-        "g": 0.2,
-        "delta": 1.0,
-        "branch": "plus",
-        "parity": "even",
-        "levels": 10,
-        "tol": 1e-8,
-        "out": "",
-    },
-    "residuals": {
-        "g": 0.2,
-        "delta": 1.0,
-        "branch": "plus",
-        "n_min": 50,
-        "n_max": 200,
-        "tol": 1e-8,
-        "out": "",
-    },
-    "verify": {"g": 0.2, "delta": 1.0, "dim": 256, "suite": "all"},
-    "poly": {
-        "n": 0,
-        "m": 0,
-        "x_min": 0.5,
-        "x_max": 3.0,
-        "points": 50,
-        "out": "",
-    },
-}
-
-_TYPES: dict[str, type] = {
-    "g": float,
-    "delta": float,
-    "branch": str,
-    "parity": str,
-    "levels": int,
-    "tol": float,
-    "out": str,
-    "n_min": int,
-    "n_max": int,
-    "dim": int,
-    "suite": str,
-    "n": int,
-    "m": int,
-    "x_min": float,
-    "x_max": float,
-    "points": int,
-}
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rabi-spectra",
-        description="Two-photon quantum Rabi model spectra and verification suites.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="certified chain eigenvalues as CSV")
-    sp.add_argument("--g", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--branch", choices=sorted(_BRANCHES))
-    sp.add_argument("--parity", choices=sorted(_PARITIES))
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out")
-
-    rs = sub.add_parser("residuals", help="three-term asymptotics residual table")
-    rs.add_argument("--g", type=float)
-    rs.add_argument("--delta", type=float)
-    rs.add_argument("--branch", choices=sorted(_BRANCHES))
-    rs.add_argument("--n-min", dest="n_min", type=int)
-    rs.add_argument("--n-max", dest="n_max", type=int)
-    rs.add_argument("--tol", type=float)
-    rs.add_argument("--out")
-
-    vf = sub.add_parser("verify", help="run residual/identity verification suites")
-    vf.add_argument("--g", type=float)
-    vf.add_argument("--delta", type=float)
-    vf.add_argument("--dim", type=int)
-    vf.add_argument("--suite", choices=["squeeze", "polys", "perturb", "all"])
-
-    pl = sub.add_parser("poly", help="tabulate one polynomial index pair over x")
-    pl.add_argument("--n", type=int)
-    pl.add_argument("--m", type=int)
-    pl.add_argument("--x-min", dest="x_min", type=float)
-    pl.add_argument("--x-max", dest="x_max", type=float)
-    pl.add_argument("--points", type=int)
-    pl.add_argument("--out")
-    return parser
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    cfg: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"malformed config line: {line!r}")
-                key, value = line.split("=", 1)
-                cfg[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, cfg: dict[str, str]) -> dict[str, object]:
-    opts: dict[str, object] = {}
-    for key, default in _DEFAULTS[args.command].items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            opts[key] = flag_value
-        elif key in cfg:
-            opts[key] = _TYPES[key](cfg[key])
-        else:
-            opts[key] = default
-    return opts
-
-
-def _open_out(out: str):
-    if out:
-        return open(out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
-
-
 def _write_rows(out: str, header: str, rows: list[str]) -> None:
-    handle = _open_out(out)
+    text = "".join(f"{line}\n" for line in (header, *rows))
+    if not out:
+        sys.stdout.write(text)
+        return
     try:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(row + "\n")
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
 
 
-def cmd_spectrum(opts: dict[str, object]) -> int:
-    params = derive_params(float(opts["g"]), float(opts["delta"]))
-    chain = ChainSelector(_BRANCHES[str(opts["branch"])], _PARITIES[str(opts["parity"])])
-    levels = int(opts["levels"])
+def cmd_spectrum(opts: dict[str, Any]) -> int:
+    params = derive_params(opts["g"], opts["delta"])
+    chain = ChainSelector(_BRANCHES[opts["branch"]], _PARITIES[opts["parity"]])
+    levels = opts["levels"]
     if levels < 1:
         raise ValueError("--levels must be at least 1")
-    spectrum = converged_levels(params, chain, levels, float(opts["tol"]))
+    spectrum = converged_levels(params, chain, levels, opts["tol"])
     offset = chain.parity.offset
     rows = [
         f"{k},{2 * k + offset},{_fmt(spectrum.values[k])},{int(k < spectrum.trusted_count)}"
         for k in range(levels)
     ]
-    _write_rows(str(opts["out"]), "n,fock_index,energy,trusted", rows)
+    _write_rows(opts["out"], "n,fock_index,energy,trusted", rows)
     return 0
 
 
-def cmd_residuals(opts: dict[str, object]) -> int:
-    params = derive_params(float(opts["g"]), float(opts["delta"]))
-    branch = _BRANCHES[str(opts["branch"])]
+def cmd_residuals(opts: dict[str, Any]) -> int:
+    params = derive_params(opts["g"], opts["delta"])
     study = perturb.residual_study(
-        params, branch, int(opts["n_min"]), int(opts["n_max"]), float(opts["tol"])
+        params, _BRANCHES[opts["branch"]], opts["n_min"], opts["n_max"], opts["tol"]
     )
     rows = []
     for b in study:
@@ -230,7 +108,7 @@ def cmd_residuals(opts: dict[str, object]) -> int:
             )
         )
     header = "n,numeric,linear,shift,oscillatory,three_term,residual,res_n_over_logn,res_n"
-    _write_rows(str(opts["out"]), header, rows)
+    _write_rows(opts["out"], header, rows)
     return 0
 
 
@@ -275,7 +153,7 @@ def _bundle_max_residual(target: int, s: int, parity: int, x: float) -> float:
     return worst
 
 
-def _suite_polys(g: float) -> list[_Check]:
+def _suite_polys(g: float, _delta: float, _dim: int) -> list[_Check]:
     params = derive_params(g, 0.0)
     x = params.omega / (2.0 * params.g)
     checks = []
@@ -283,12 +161,10 @@ def _suite_polys(g: float) -> list[_Check]:
     closed = 25.0 * math.atan(math.sinh(1.0))
     checks.append(_Check("phase_integral_closed_form", abs(polys.phase_integral(spec) - closed), 1e-12))
     worst_rel = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", polys.CancellationWarning)
-        for n, s in ((25, 0), (60, 3), (120, 0)):
-            exact = float(polys.p_exact(n, s, Fraction(x)))
-            fast = polys.p_fast(n, s, x)
-            worst_rel = max(worst_rel, abs(fast - exact) / abs(exact))
+    for n, s in ((25, 0), (60, 3), (120, 0)):
+        exact = float(polys.p_exact(n, s, Fraction(x)))
+        fast = polys.p_fast(n, s, x)
+        worst_rel = max(worst_rel, abs(fast - exact) / abs(exact))
     checks.append(_Check("p_fast_vs_p_exact_rel", worst_rel, 1e-9))
     xr = Fraction(7, 3)
     mismatch = 0.0
@@ -302,13 +178,11 @@ def _suite_polys(g: float) -> list[_Check]:
             ) * 2 * xr * polys.hyper_f(n_h, m_h, Fraction(3, 2), -(xr**2))
             mismatch = max(mismatch, abs(float(even)), abs(float(odd)))
     checks.append(_Check("hypergeometric_identity", mismatch, 1e-300))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", polys.CancellationWarning)
-        for parity in (0, 1):
-            near = _bundle_max_residual(200, 0, parity, x)
-            far = _bundle_max_residual(400, 0, parity, x)
-            label = "even" if parity == 0 else "odd"
-            checks.append(_Check(f"asym_decay_inverse_ratio_{label}", far / near, 1.0 / 1.5))
+    for parity in (0, 1):
+        near = _bundle_max_residual(200, 0, parity, x)
+        far = _bundle_max_residual(400, 0, parity, x)
+        label = "even" if parity == 0 else "odd"
+        checks.append(_Check(f"asym_decay_inverse_ratio_{label}", far / near, 1.0 / 1.5))
     return checks
 
 
@@ -353,21 +227,22 @@ def _suite_perturb(g: float, delta: float, dim: int) -> list[_Check]:
     return checks
 
 
-def cmd_verify(opts: dict[str, object]) -> int:
-    g = float(opts["g"])
-    delta = float(opts["delta"])
-    dim = int(opts["dim"])
-    suite = str(opts["suite"])
+_SUITES = {
+    "squeeze": (_suite_squeeze,),
+    "polys": (_suite_polys,),
+    "perturb": (_suite_perturb,),
+    "all": (_suite_squeeze, _suite_polys, _suite_perturb),
+}
+
+
+def cmd_verify(opts: dict[str, Any]) -> int:
+    g, delta, dim, suite = opts["g"], opts["delta"], opts["dim"], opts["suite"]
     if not 8 <= dim <= 512:
         raise ValueError("--dim must be in [8, 512]")
     derive_params(g, delta)  # domain gate before any work
     checks: list[_Check] = []
-    if suite in ("squeeze", "all"):
-        checks += _suite_squeeze(g, delta, dim)
-    if suite in ("polys", "all"):
-        checks += _suite_polys(g)
-    if suite in ("perturb", "all"):
-        checks += _suite_perturb(g, delta, dim)
+    for run_suite in _SUITES[suite]:
+        checks += run_suite(g, delta, dim)
     failures = []
     for check in checks:
         verdict = "PASS" if check.passed else "FAIL"
@@ -381,12 +256,9 @@ def cmd_verify(opts: dict[str, object]) -> int:
     return 0
 
 
-def cmd_poly(opts: dict[str, object]) -> int:
-    n_full = int(opts["n"])
-    m_full = int(opts["m"])
-    x_min = float(opts["x_min"])
-    x_max = float(opts["x_max"])
-    points = int(opts["points"])
+def cmd_poly(opts: dict[str, Any]) -> int:
+    n_full, m_full, points = opts["n"], opts["m"], opts["points"]
+    x_min, x_max = opts["x_min"], opts["x_max"]
     if n_full < 0 or m_full < n_full:
         raise ValueError("requires 0 <= n <= m")
     if (m_full - n_full) % 2:
@@ -400,42 +272,124 @@ def cmd_poly(opts: dict[str, object]) -> int:
     s = (m_full - n_full) // 2
     grid = np.linspace(x_min, x_max, points)
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", polys.CancellationWarning)
-        for x in grid:
-            x = float(x)
-            exact_cell = ""
-            if n_full <= polys.MAX_EXACT_DEGREE:
-                exact = polys.p_exact(n_full, s, Fraction(x))
-                exact_cell = _fmt(exact) if abs(exact) < Fraction(10) ** 308 else _fmt(math.inf)
-            fast_cell = _fmt(polys.p_fast(n_full, s, x))
-            try:
-                parts = polys.p_asym_parts(n_full, m_full, x)
-                asym_cell = _fmt(parts.value)
-                env_cell = _fmt(parts.envelope)
-            except ValueError:
-                asym_cell = ""
-                env_cell = ""
-            rows.append(f"{_fmt(x)},{exact_cell},{fast_cell},{asym_cell},{env_cell}")
-    _write_rows(str(opts["out"]), "x,p_exact,p_fast,p_asym,envelope", rows)
+    for x in grid:
+        x = float(x)
+        exact_cell = ""
+        if n_full <= polys.MAX_EXACT_DEGREE:
+            exact = polys.p_exact(n_full, s, Fraction(x))
+            exact_cell = _fmt(exact) if abs(exact) < Fraction(10) ** 308 else _fmt(math.inf)
+        fast_cell = _fmt(polys.p_fast(n_full, s, x))
+        try:
+            parts = polys.p_asym_parts(n_full, m_full, x)
+            asym_cell = _fmt(parts.value)
+            env_cell = _fmt(parts.envelope)
+        except ValueError:
+            asym_cell = ""
+            env_cell = ""
+        rows.append(f"{_fmt(x)},{exact_cell},{fast_cell},{asym_cell},{env_cell}")
+    _write_rows(opts["out"], "x,p_exact,p_fast,p_asym,envelope", rows)
     return 0
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "residuals": cmd_residuals,
-    "verify": cmd_verify,
-    "poly": cmd_poly,
+# One row per subcommand: its handler, its help text and its option -> default
+# map.  Each option is the flag --{key with "_" as "-"} of type type(default),
+# checked against _CHOICES[key] where present; config values are parsed by
+# the same rule.
+_TABLE: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]] = {
+    "spectrum": (
+        cmd_spectrum,
+        "certified chain eigenvalues as CSV",
+        {"g": 0.2, "delta": 1.0, "branch": "plus", "parity": "even", "levels": 10, "tol": 1e-8,
+         "out": ""},
+    ),
+    "residuals": (
+        cmd_residuals,
+        "three-term asymptotics residual table",
+        {"g": 0.2, "delta": 1.0, "branch": "plus", "n_min": 50, "n_max": 200, "tol": 1e-8,
+         "out": ""},
+    ),
+    "verify": (
+        cmd_verify,
+        "run residual/identity verification suites",
+        {"g": 0.2, "delta": 1.0, "dim": 256, "suite": "all"},
+    ),
+    "poly": (
+        cmd_poly,
+        "tabulate one polynomial index pair over x",
+        {"n": 0, "m": 0, "x_min": 0.5, "x_max": 3.0, "points": 50, "out": ""},
+    ),
+}
+_CHOICES = {"branch": _BRANCHES, "parity": _PARITIES, "suite": _SUITES}
+# Every key a config file may set; a key's type is the same in every row.
+_KEY_TYPES = {
+    key: type(default) for _, _, options in _TABLE.values() for key, default in options.items()
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rabi-spectra",
+        description="Two-photon quantum Rabi model spectra and verification suites.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, options) in _TABLE.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, default in options.items():
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, type=type(default), choices=_CHOICES.get(key))
+    return parser
+
+
+def _parse_value(key: str, text: str) -> Any:
+    """A config value parsed and checked as the flag --key would parse it."""
+    kind = _KEY_TYPES[key]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid {kind.__name__} value: {text!r}") from None
+    choices = _CHOICES.get(key)
+    if choices is not None and value not in choices:
+        allowed = ", ".join(map(repr, choices))
+        raise ValueError(f"config key {key}: invalid choice: {text!r} (choose from {allowed})")
+    return value
+
+
+def _load_config(path: str | None) -> dict[str, Any]:
+    if not path:
+        return {}
+    cfg: dict[str, Any] = {}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for raw in handle:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"malformed config line: {line!r}")
+                key, text = line.split("=", 1)
+                key = key.strip().replace("-", "_")
+                if key not in _KEY_TYPES:
+                    raise ValueError(f"unknown config key {key!r}")
+                cfg[key] = _parse_value(key, text.strip())
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
+    return cfg
+
+
+def _resolve(args: argparse.Namespace, cfg: dict[str, Any]) -> dict[str, Any]:
+    opts: dict[str, Any] = {}
+    for key, default in _TABLE[args.command][2].items():
+        flag_value = getattr(args, key)
+        opts[key] = flag_value if flag_value is not None else cfg.get(key, default)
+    return opts
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(os.environ.get("RABI_SPECTRA_CONFIG"))
         opts = _resolve(args, cfg)
-        return _COMMANDS[args.command](opts)
+        return _TABLE[args.command][0](opts)
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -6,11 +6,12 @@ Three evaluation routes are provided and cross-validated:
 
 * :func:`p_exact` — exact rational value, the ground truth;
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
-  sum cancels catastrophically for large degree (the condition number grows
-  roughly like e^{0.26 n} at the model's evaluation point), so the double
-  path carries a condition estimate and escalates to the exact integer sum
-  at the (dyadic rational) double argument whenever it is no longer
-  trustworthy;
+  sum cancels catastrophically for large degree: its condition number
+  sum|T_k| / |P| grows roughly like e^{0.27 n} at the model's evaluation
+  point.  The double path estimates it and escalates to the exact integer
+  sum at the (dyadic rational) double argument whenever the double result
+  is no longer trustworthy, so the value returned is always the accurate
+  one;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
@@ -24,7 +25,6 @@ represents the same polynomials, giving an independent exact oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +33,6 @@ import numpy as np
 __all__ = [
     "MAX_EXACT_DEGREE",
     "MAX_ELEMENT_INDEX",
-    "CANCELLATION_CONDITION",
-    "CancellationWarning",
     "TurningPointError",
     "PolyValue",
     "AsymValue",
@@ -51,8 +49,6 @@ __all__ = [
 MAX_EXACT_DEGREE = 400
 # Largest polynomial degree or matrix-element index accepted anywhere.
 MAX_ELEMENT_INDEX = 100_000
-# Double-path condition above which the cancellation flag is raised.
-CANCELLATION_CONDITION = 1e12
 # Estimated double-path relative error above which the exact integer sum
 # replaces the double result.  The per-term accuracy in log space is
 # ~|log term| * eps, amplified by the condition number of the alternating sum.
@@ -60,10 +56,7 @@ _ESCALATE_REL_ERROR = 1e-11
 # ln 2 split so that e * _LN2_HI is exact for |e| < 2^21.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-
-
-class CancellationWarning(UserWarning):
-    """The double-precision alternating sum was ill-conditioned."""
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class TurningPointError(ValueError):
@@ -105,9 +98,11 @@ def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
 class PolyValue:
     """Sign / log-magnitude decomposition of a polynomial value.
 
-    ``condition`` is the double-path estimate sum|T_k| / |sum T_k|;
-    ``escalated`` records whether the exact integer sum replaced the double
-    result.  ``value`` overflows to +-inf for log_abs > ~709.
+    ``condition`` is the condition number sum|T_k| / |P| of the alternating
+    sum, the factor by which it amplifies per-term rounding: estimated from
+    the double sum, or, when ``escalated`` (the exact integer sum replaced
+    the double result), taken against the exact value, and inf where it
+    overflows or P = 0.  ``value`` overflows to +-inf for log_abs > ~709.
     """
 
     sign: float
@@ -123,23 +118,20 @@ class PolyValue:
             return self.sign * math.inf
         return self.sign * math.exp(self.log_abs)
 
-    @property
-    def cancellation(self) -> bool:
-        return self.condition > CANCELLATION_CONDITION
 
-
-def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
-    """Double log-space evaluation: returns (sign, log_abs, condition, peak_log).
+def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float, float]:
+    """Double log-space evaluation: (sign, log_abs, condition, peak_log, log_mass).
 
     The largest term (log magnitude ``peak_log``) is factored out and the
-    signed ratios are summed exactly rounded by :func:`math.fsum`.
+    signed ratios are summed exactly rounded by :func:`math.fsum`;
+    ``log_mass`` is log sum|T_k|.
     """
     if x == 0.0:
         k = n // 2
         peak = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(s + k + 1)
         if n % 2:
-            return 0.0, -math.inf, 1.0, peak
-        return (-1.0) ** k, peak, 1.0, peak
+            return 0.0, -math.inf, 1.0, peak, -math.inf
+        return (-1.0) ** k, peak, 1.0, peak, peak
     log2x = math.log(abs(2.0 * x))
     sign2x = 1.0 if x > 0 else -1.0
     ks = np.arange(n // 2 + 1)
@@ -161,10 +153,11 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float]:
     ratios = signs * np.exp(logs - peak)
     total = math.fsum(ratios.tolist())
     abs_mass = float(np.sum(np.abs(ratios)))
+    log_mass = peak + math.log(abs_mass)
     if total == 0.0:
-        return 0.0, -math.inf, math.inf, peak
+        return 0.0, -math.inf, math.inf, peak, log_mass
     condition = abs_mass / abs(total)
-    return math.copysign(1.0, total), peak + math.log(abs(total)), condition, peak
+    return math.copysign(1.0, total), peak + math.log(abs(total)), condition, peak, log_mass
 
 
 def _log_ratio(w: int, d: int) -> float:
@@ -189,32 +182,22 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument x={x!r} must be finite")
-    sign, log_abs, condition, peak = _double_sum(n, s, x)
+    sign, log_abs, condition, peak, log_mass = _double_sum(n, s, x)
     err_est = condition * (abs(peak) + 50.0) * 3.0 * float(np.finfo(float).eps)
     if math.isfinite(condition) and err_est <= _ESCALATE_REL_ERROR:
         return PolyValue(sign, log_abs, condition, False)
     w, d = _exact_sum(n, s, Fraction(x))
     if w == 0:
-        return PolyValue(0.0, -math.inf, condition, True)
-    return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(abs(w), d), condition, True)
+        return PolyValue(0.0, -math.inf, math.inf, True)
+    log_abs = _log_ratio(abs(w), d)
+    log_condition = log_mass - log_abs
+    condition = math.exp(log_condition) if log_condition < _LOG_FLOAT_MAX else math.inf
+    return PolyValue(1.0 if w > 0 else -1.0, log_abs, condition, True)
 
 
 def p_fast(n: int, s: int, x: float) -> float:
-    """P_n^{(s)}(x) as a float; warns when the double sum was ill-conditioned.
-
-    The returned value is always the accurate one (the exact integer sum
-    replaces the double result when needed); the warning only reports that
-    the plain double-precision route would have lost the value.
-    """
-    parts = p_fast_parts(n, s, x)
-    if parts.cancellation:
-        warnings.warn(
-            f"alternating sum for P_{n}^{{({s})}} at x={x!r} had condition "
-            f"{parts.condition:.2e}; value taken from the exact integer sum",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    return parts.value
+    """P_n^{(s)}(x) as a float (overflows to +-inf past ~e709)."""
+    return p_fast_parts(n, s, x).value
 
 
 def hyper_f(n: int, m: int, c, z):
@@ -258,8 +241,8 @@ class PhaseSpec:
             raise ValueError("offset s must be non-negative")
         if not math.isfinite(self.t_max):
             raise ValueError("t_max must be finite")
-        if self.lambda_hat < 0:
-            raise ValueError("lambda_hat must be non-negative")
+        if not (math.isfinite(self.lambda_hat) and self.lambda_hat >= 0):
+            raise ValueError("lambda_hat must be finite and non-negative")
         if self.s > 0 and (self.lambda_hat == 0 or self.s / self.lambda_hat >= 1.0):
             raise ValueError("requires s / lambda_hat in [0, 1)")
 
@@ -296,12 +279,16 @@ def phase_integral(spec: PhaseSpec) -> float:
     if spec.t_max == 0.0 or spec.lambda_hat == 0.0:
         return 0.0
     r = spec.s / spec.lambda_hat if spec.lambda_hat > 0 else 0.0
-    sech_end = 1.0 / math.cosh(spec.t_max)
+    # cosh and sinh overflow past |t| ~ 710.5, so t is clamped to +-710.  For
+    # r = 0 the value has saturated at +-lambda_hat pi/2 long before; for r > 0
+    # the end is past the turning point unless lambda_hat/s > cosh 710 ~ 1e308.
+    t = math.copysign(min(abs(spec.t_max), 710.0), spec.t_max)
+    sech_end = 1.0 / math.cosh(t)
     if r > sech_end * (1.0 + 4.0 * np.finfo(float).eps):
         raise TurningPointError(
             f"s/lambda_hat = {r:.6g} exceeds 1/cosh(t_max) = {sech_end:.6g}"
         )
-    a = math.sinh(spec.t_max)
+    a = math.sinh(t)
     ra = r * a
     # Clamped at 0 for endpoints inside the 4-eps slack past the turning point.
     root2 = max((1.0 - r) * (1.0 + r) - ra * ra, 0.0)

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from rabi_spectra import cli
 from rabi_spectra.cli import main
 
 
@@ -299,6 +300,65 @@ class TestConfigPrecedence:
             del os.environ["RABI_SPECTRA_CONFIG"]
             if old is not None:
                 os.environ["RABI_SPECTRA_CONFIG"] = old
+
+
+def exit_code(args, tmp_path, config=None):
+    """Exit code of main(), including argparse's SystemExit on a bad flag."""
+    try:
+        return run_cli(args, tmp_path, config=config)
+    except SystemExit as exc:
+        return exc.code
+
+
+TABLE_PAIRS = [(command, key) for command, (_, _, options) in cli._TABLE.items() for key in options]
+
+
+def good_text(key, default):
+    choices = cli._CHOICES.get(key)
+    if choices is not None:
+        return next(choice for choice in choices if choice != default)
+    return {float: "0.125", int: "7", str: "table.csv"}[type(default)]
+
+
+def bad_text(key, tmp_path):
+    unwritable = str(tmp_path / "missing" / "x.csv")
+    return {"branch": "up", "parity": "x", "suite": "foo", "out": unwritable}.get(key, "abc")
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, key", TABLE_PAIRS)
+    def test_config_parsed_and_checked_like_flag(self, tmp_path, capsys, command, key):
+        default = cli._TABLE[command][2][key]
+        flag = "--" + key.replace("_", "-")
+        text = good_text(key, default)
+        parser = cli._build_parser()
+        via_flag = cli._resolve(parser.parse_args([command, flag, text]), {})
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key}={text}\n", encoding="utf-8")
+        via_config = cli._resolve(parser.parse_args([command]), cli._load_config(str(config)))
+        assert via_config == via_flag
+        assert via_flag[key] != default
+
+        bad = bad_text(key, tmp_path)
+        for args, cfg in (([command, flag, bad], None), ([command], f"{key}={bad}\n")):
+            start = time.monotonic()
+            code = exit_code(args, tmp_path, config=cfg)
+            elapsed = time.monotonic() - start
+            err = capsys.readouterr().err
+            assert code == 2, (args, cfg)
+            assert "error:" in err and "Traceback" not in err
+            assert bad in err
+            assert elapsed < 1.0
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        assert run_cli(["spectrum", "--levels", "2"], tmp_path, config="colour=red\n") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "colour" in err
+
+    def test_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        config = "n_min=10\nsuite=polys\nlevels=2\n"
+        assert run_cli(["spectrum"], tmp_path, config=config) == 0
+        assert len(parse_csv(capsys.readouterr().out)[1]) == 2
 
 
 class TestEntryPoints:
