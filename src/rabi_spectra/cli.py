@@ -77,10 +77,8 @@ def cmd_spectrum(opts: dict[str, Any]) -> int:
         raise ValueError("--levels must be at least 1")
     spectrum = converged_levels(params, chain, levels, opts["tol"])
     offset = chain.parity.offset
-    rows = [
-        f"{k},{2 * k + offset},{_fmt(spectrum.values[k])},{int(k < spectrum.trusted_count)}"
-        for k in range(levels)
-    ]
+    # converged_levels certifies every level or raises, so every row is trusted.
+    rows = [f"{k},{2 * k + offset},{_fmt(spectrum.values[k])},1" for k in range(levels)]
     _write_rows(opts["out"], "n,fock_index,energy,trusted", rows)
     return 0
 

@@ -10,9 +10,11 @@ an oracle for the other:
 
 Levels of the infinite Fock chains are certified from one truncation when
 possible: each level is bisected from its Weyl bracket around the exactly
-solvable Delta = 0 spectrum and bounded a posteriori by its bisection
-half-width plus the residual of its truncated eigenvector.  Levels whose
-bound cannot be pinned to their index fall back to truncation doubling.
+solvable Delta = 0 spectrum, and its bracket is shown to enclose the level of
+the infinite chain by min-max from above and, from below, by one Sturm count
+of the truncation with its last diagonal lowered by the dropped coupling
+(a rank-one split whose tail lies above a closed-form floor).  Levels that
+are not yet enclosed make the truncation double.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 DENSE_MAX_DIM = 512
 DEFAULT_MAX_CHAIN_DIM = 2**20
 _EPS = float(np.finfo(float).eps)
-_PATHS = ("direct", "a_posteriori", "doubling")
+_PATHS = ("direct", "a_posteriori")
 # Sites per block of a Sturm sweep: d_i - x is formed for a block at once.
 _SWEEP_BLOCK = 16
 
@@ -47,20 +49,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with a trusted-count watermark.
+    """Ascending eigenvalues with per-level error bounds.
 
-    ``trusted_count`` is the number of lowest levels certified to ``tol``;
-    direct (non-truncated) solves trust every value.  ``truncation_dim``
-    records the matrix dimension the values came from.  ``bounds`` is a
-    read-only per-level error bound (``tol`` for every level unless the
-    solver supplies one) and ``path`` names the route behind it: ``"direct"``
-    for a solve of the given matrix, ``"a_posteriori"`` when every level was
-    pinned by its residual bound, ``"doubling"`` when some level was accepted
-    because it moved by less than ``tol`` between successive truncations.
+    ``truncation_dim`` records the matrix dimension the values came from.
+    ``bounds`` is a read-only per-level error bound (``tol`` for every level
+    unless the solver supplies one) and ``path`` names the route behind it:
+    ``"direct"`` for a solve of the given matrix, ``"a_posteriori"`` when
+    every level of an infinite chain is enclosed by its bracket (see
+    :func:`converged_levels`).
     """
 
     values: np.ndarray
-    trusted_count: int
     truncation_dim: int
     tol: float
     bounds: np.ndarray | None = None
@@ -69,8 +68,6 @@ class Spectrum:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if not 0 <= self.trusted_count <= values.size:
-            raise ValueError("trusted_count out of range")
         if self.bounds is None:
             bounds = np.full(values.shape, float(self.tol))
         else:
@@ -189,7 +186,7 @@ def eigenvalues_bisection(t: SymTriMatrix, tol: float) -> Spectrum:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     vals = _bisect_lowest(t, t.n, tol)
-    return Spectrum(values=np.sort(vals), trusted_count=t.n, truncation_dim=t.n, tol=tol)
+    return Spectrum(values=np.sort(vals), truncation_dim=t.n, tol=tol)
 
 
 def eigenvalues_dense(a: np.ndarray) -> Spectrum:
@@ -210,7 +207,7 @@ def eigenvalues_dense(a: np.ndarray) -> Spectrum:
     if n and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12")
     values = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return Spectrum(values=values, trusted_count=n, truncation_dim=n, tol=n * _EPS * scale)
+    return Spectrum(values=values, truncation_dim=n, tol=n * _EPS * scale)
 
 
 def _weyl_brackets(
@@ -231,65 +228,6 @@ def _weyl_brackets(
     return np.where(counts[:k] <= idx, lo, bottom), np.where(counts[k:] > idx, hi, top)
 
 
-def _tail_bounds(t: SymTriMatrix, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Upper bounds on |x_{N-1}| of the unit eigenvector whose eigenvalue lies in [lo_k, hi_k].
-
-    With backward pivots q_N-1 = d_N-1 - theta, q_j = d_j - theta - b_j^2/q_j+1,
-    an eigenvector satisfies x_i+1 / x_i = -b_i / q_i+1(theta), so
-    |x_N-1| <= prod_{i>=j} |b_i / q_i+1(theta)| for every site j.  While every
-    trailing block from site j+1 down has equal negative-pivot counts at both
-    bracket ends, no pivot has a zero or pole in the bracket; each pivot is
-    then monotone there, so |q_i+1(theta)| >= min(|q_i+1(lo)|, |q_i+1(hi)|).
-    One backward sweep over both ends keeps the running minimum of the
-    product over such j, in O(N + K) memory.
-    """
-    k = lo.size
-    ends = np.concatenate([lo, hi])
-    pivmin = _pivmin(t)
-    off_sq = t.off**2
-    off_abs = np.abs(t.off)
-    diag = t.diag
-    q = diag[-1] - ends
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    negatives = (q < 0).astype(np.int64)
-    valid = negatives[:k] == negatives[k:]
-    product = np.ones(k)
-    best = np.ones(k)
-    size = np.empty_like(q)
-    with np.errstate(over="ignore", under="ignore"):
-        for j in range(t.n - 2, -1, -1):
-            np.abs(q, out=size)
-            product *= off_abs[j] / np.minimum(size[:k], size[k:])
-            np.minimum(best, np.where(valid, product, 1.0), out=best)
-            np.divide(off_sq[j], q, out=q)
-            q += ends
-            np.subtract(diag[j], q, out=q)
-            np.abs(q, out=size)
-            if size.min() < pivmin:
-                q[size < pivmin] = -pivmin
-            negatives += q < 0
-            valid &= negatives[:k] == negatives[k:]
-            if j % 32 == 0 and not valid.any():
-                break
-    # An underflowed product stands for a true one below the smallest normal.
-    return np.maximum(best, np.finfo(float).tiny)
-
-
-def _pinned(values: np.ndarray, radii: np.ndarray, next_floor: np.ndarray) -> np.ndarray:
-    """Levels k whose ball values_k -+ radii_k holds eigenvalue k of the infinite chain.
-
-    Every ball holds some eigenvalue (residual bound).  If balls 0..m are
-    pairwise disjoint and ball m ends below ``next_floor[m]``, a lower bound
-    on eigenvalue m+1, then those m+1 balls hold the m+1 lowest eigenvalues,
-    one each in order.
-    """
-    top = values + radii
-    apart = np.ones(values.size, dtype=bool)
-    apart[1:] = top[:-1] < values[1:] - radii[1:]
-    hits = np.flatnonzero(np.logical_and.accumulate(apart) & (top < next_floor))
-    return np.arange(values.size) <= (hits[-1] if hits.size else -1)
-
-
 def converged_levels(
     params: ModelParams,
     chain: ChainSelector,
@@ -302,18 +240,25 @@ def converged_levels(
     The chain is truncated at N = max(4 * level_count, 64) sites.  The
     Delta = 0 chain has the exact levels mu_k = omega (2k + p + 1/2) - 1/2 and
     the perturbation has norm |Delta|/2, so by Weyl's inequality level k lies
-    in mu_k -+ |Delta|/2; bisection starts there.  Each level is then bounded
-    by its bisection half-width plus the residual b_N-1 |x_N-1| of its
-    truncated eigenvector (b_N-1 couples the last kept site to the first
-    dropped one).  Level k is accepted when its bound is below ``tol`` and is
-    pinned to index k: balls 0..k are disjoint and ball k ends below the Weyl
-    lower bound mu_k+1 - |Delta|/2 of the next level.  Otherwise the
-    truncation doubles, and a level is accepted if pinned or if it moved by
-    less than ``tol`` since the previous truncation.  ``bounds`` of the result
-    holds the residual bound of pinned levels and the movement plus the
-    half-width of the others.  Both carry a rounding allowance of
-    4 eps max(1, |value| + |Delta|/2) for the Sturm counts; against 40-digit
-    Delta = 0 levels the rounding measured at most 0.7 eps |value|.
+    in mu_k -+ |Delta|/2; bisection of T_N starts there and ends with
+    brackets [lo_k, hi_k].  Each bracket encloses eigenvalue k of the
+    infinite chain H:
+
+    * upper end: lambda_k(H) <= theta_k(T_N) < hi_k by min-max;
+    * lower end: with b = b_N-1 the coupling to the first dropped site,
+      H - b (e_N-1 + e_N)(e_N-1 + e_N)^T splits into T' (T_N with its last
+      diagonal lowered by b) and the dropped tail with its first diagonal
+      lowered by b.  Each tail row at Fock index n has diagonal minus
+      off-diagonals at least n (1 - 2g) - g - |Delta|/2, so the tail lies
+      above F = n0 (1 - 2g) - g - |Delta|/2 with n0 = 2N + p.  If T' has at
+      most k eigenvalues below lo_k < F, min-max gives lambda_k(H) >= lo_k.
+
+    ``bounds`` is the bracket half-width plus a rounding allowance of
+    4 eps max(1, |value| + |Delta|/2) for the Sturm counts, by which F is
+    widened too; against 40-digit Delta = 0 levels the rounding measured at
+    most 0.7 eps |value|.  A level is accepted when its enclosure holds and
+    its bound is below ``tol``; otherwise the truncation doubles and every
+    level is solved again.
 
     Raises:
         ValueError: if level_count < 1, if tol is not finite and positive,
@@ -332,47 +277,37 @@ def converged_levels(
             f"{level_count} levels need chain dimension {n_dim}, above the cap {max_dim}"
         )
     spread = abs(params.delta) / 2.0
-    mu = params.omega * (2 * np.arange(level_count + 1) + chain.parity.offset + 0.5) - 0.5
-    floor = 8.0 * _EPS * max(1.0, float(mu[-2]) + spread)
+    mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
+    floor = 8.0 * _EPS * max(1.0, float(mu[-1]) + spread)
     if tol < floor:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {floor:.3e}")
-    next_floor = mu[1:] - spread
-    # Bracket eigenvalues a bit tighter than the certification tolerance so
-    # the doubling comparison measures truncation movement, not bisection slop.
+    # Bisect well below tol so the half-width leaves room for the rounding allowance.
     bisect_tol = tol / 16.0
+    idx = np.arange(level_count)
     ceiling = np.full(level_count, np.inf)
-    prev = None
     while True:
         full = build_chain(params, chain, n_dim + 1)
         t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-        lo, hi = _weyl_brackets(t, mu[:-1], spread + tol, ceiling)
+        lo, hi = _weyl_brackets(t, mu, spread + tol, ceiling)
         lo, hi = _bisect(t, lo, hi, bisect_tol)
         values = 0.5 * (lo + hi)
-        # Half-width plus a rounding allowance for the Sturm counts.
-        radii = 0.5 * (hi - lo) + 4.0 * _EPS * np.maximum(1.0, np.abs(values) + spread)
-        bounds = radii.copy()
-        # Only levels pinned with a zero residual can be pinned at all.
-        m = int(np.count_nonzero(_pinned(values, radii, next_floor)))
-        if m:
-            bounds[:m] += full.off[-1] * _tail_bounds(t, lo[:m], hi[:m])
-        pinned = _pinned(values, bounds, next_floor) & (bounds < tol)
-        accepted = pinned
-        if prev is not None:
-            moved = np.abs(values - prev)
-            accepted = pinned | (moved < tol)
-            bounds = np.where(pinned, bounds, radii + moved)
-        if accepted.all():
+        bounds = 0.5 * (hi - lo) + 4.0 * _EPS * np.maximum(1.0, np.abs(values) + spread)
+        lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
+        n0 = 2 * n_dim + chain.parity.offset
+        tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread
+        tail_floor -= 4.0 * _EPS * max(1.0, abs(tail_floor) + spread)
+        enclosed = (lo < tail_floor) & (_sturm_counts(lowered, lo) <= idx)
+        if np.all(enclosed & (bounds < tol)):
             return Spectrum(
                 values=np.sort(values),
-                trusted_count=level_count,
                 truncation_dim=n_dim,
                 tol=tol,
                 bounds=bounds,
-                path="a_posteriori" if pinned.all() else "doubling",
+                path="a_posteriori",
             )
         if 2 * n_dim > max_dim:
             raise ConvergenceError(
-                f"levels not stable under doubling up to chain dimension {n_dim} (cap {max_dim})"
+                f"levels not enclosed up to chain dimension {n_dim} (cap {max_dim})"
             )
         # Cauchy interlacing: no level rises when the truncation grows.
-        prev, ceiling, n_dim = values, hi, 2 * n_dim
+        ceiling, n_dim = hi, 2 * n_dim

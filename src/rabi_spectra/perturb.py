@@ -341,7 +341,6 @@ def residual_study(
     n_min: int,
     n_max: int,
     tol: float,
-    max_dim: int | None = None,
 ) -> list[AsymptoticBreakdown]:
     """Three-term breakdowns with certified eigenvalues for n in [n_min, n_max].
 
@@ -355,7 +354,6 @@ def residual_study(
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
-    kwargs = {} if max_dim is None else {"max_dim": max_dim}
     needed = {n % 2 for n in range(n_min, n_max + 1)}
     spectra: dict[int, Spectrum] = {}
     for parity in (Parity.EVEN, Parity.ODD):
@@ -363,9 +361,7 @@ def residual_study(
         if p not in needed:
             continue
         level_count = (n_max - p) // 2 + 1
-        spectra[p] = converged_levels(
-            params, ChainSelector(branch, parity), level_count, tol, **kwargs
-        )
+        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
     out = []
     for n in range(n_min, n_max + 1):
         breakdown = three_term(n, params, branch)

@@ -156,7 +156,6 @@ class TestConvergedLevels:
         s = converged_levels(p, ChainSelector(Branch.PLUS, Parity.EVEN), 10, 1e-9)
         expected = p.omega * (2 * np.arange(10) + 0.5) - 0.5
         np.testing.assert_allclose(s.values, expected, atol=1e-8)
-        assert s.trusted_count == 10
 
     def test_stable_under_further_doubling(self):
         p = derive_params(0.2, 1.0)
@@ -228,12 +227,14 @@ class TestConvergedLevels:
         mu_top = p.omega * (2 * 49 + 0.5) - 0.5
         floor = 8 * np.finfo(float).eps * (mu_top + 0.5)
         s = converged_levels(p, ChainSelector(Branch.PLUS, Parity.EVEN), 50, floor)
-        assert s.trusted_count == 50
         assert float(np.max(s.bounds)) < floor
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("g", [0.1, 0.45])
+    # At g 0.43 the first truncation ends short of the top eigenvectors'
+    # turning points while the tail floor already clears the top level, so
+    # only the Sturm count of the lowered truncation rejects it.
+    @pytest.mark.parametrize("g", [0.1, 0.43, 0.45])
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
     def test_bounds_enclose_exact_zero_delta_spectrum(self, g, parity):
         p = derive_params(g, 0.0)
@@ -247,39 +248,56 @@ class TestCertificate:
         assert np.all(errors <= s.bounds)
         assert np.all(s.bounds < 1e-10)
 
-    @pytest.mark.parametrize("g", [0.2, 0.45])
+    # Delta 6 and 20 exceed twice the level spacing 2 omega, so the Weyl
+    # brackets of neighbouring levels overlap; the enclosure needs no
+    # separation and certifies them at the first truncation.  At g 0.45 the
+    # eigenvectors reach past 4 * levels sites and the truncation doubles.
+    @pytest.mark.parametrize(
+        "g,delta,first_truncation",
+        [(0.2, 1.0, True), (0.45, 1.0, False), (0.1, 6.0, True), (0.05, 20.0, True)],
+        ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0"],
+    )
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
-    def test_bounds_enclose_lapack_at_double_truncation(self, g, parity):
-        p = derive_params(g, 1.0)
+    def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, first_truncation, parity):
+        p = derive_params(g, delta)
         chain = ChainSelector(Branch.PLUS, parity)
         s = converged_levels(p, chain, 40, 1e-10)
+        assert s.path == "a_posteriori"
+        if first_truncation:
+            assert s.truncation_dim == max(4 * 40, 64)
         t = build_chain(p, chain, 2 * s.truncation_dim)
         reference = np.linalg.eigvalsh(t.to_dense())[:40]
         # LAPACK's own error is of order eps times the matrix norm.
         lapack_error = np.finfo(float).eps * float(np.max(np.abs(t.to_dense()).sum(axis=1)))
         assert np.all(np.abs(s.values - reference) <= s.bounds + lapack_error)
 
-    @pytest.mark.parametrize("g,delta", [(0.45, 1.0), (0.2, 3.0), (0.3, 0.0)])
-    @pytest.mark.parametrize("width", [1e-9, 0.5, 1.0])
-    def test_tail_bound_covers_last_eigenvector_entry(self, g, delta, width):
-        from rabi_spectra.eigensolve import _tail_bounds
+    @pytest.mark.parametrize("g", [0.2, 0.45, 0.49])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 6.0])
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    @pytest.mark.parametrize("n_dim", [16, 64])
+    def test_tail_floor_bounds_lowered_tail(self, g, delta, parity, n_dim):
+        # Sites n_dim..8 n_dim of the chain, first diagonal lowered by the
+        # coupling b to the last kept site: the dropped tail of the rank-one
+        # split in converged_levels lies above the closed-form floor F.
+        p = derive_params(g, delta)
+        full = build_chain(p, ChainSelector(Branch.PLUS, parity), 8 * n_dim + 2)
+        diag = full.diag[n_dim:-1].copy()
+        diag[0] -= full.off[n_dim - 1]
+        off = full.off[n_dim:]
+        floor = (2 * n_dim + parity.offset) * (1 - 2 * g) - g - abs(delta) / 2
+        # Row bounds of the infinite tail: each row keeps both its couplings.
+        rows = diag - off - np.r_[0.0, off[:-1]]
+        assert np.all(rows >= floor)
+        block = SymTriMatrix(diag=diag, off=off[:-1])
+        assert float(np.linalg.eigvalsh(block.to_dense())[0]) >= floor
 
-        t = build_chain(derive_params(g, delta), ChainSelector(Branch.PLUS, Parity.EVEN), 40)
-        theta, vectors = np.linalg.eigh(t.to_dense())
-        gaps = np.diff(theta)
-        # Brackets up to 0.45 of the gap to either neighbour: wide ones hold
-        # pivot poles of the trailing blocks, which must not shrink the bound.
-        half = width * 0.45 * np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
-        bound = _tail_bounds(t, theta - half, theta + half)
-        assert np.all(np.abs(vectors[-1, :]) <= bound)
-
-    def test_strong_coupling_takes_doubling_path(self):
-        # At g = 0.49 the Weyl brackets of neighbouring levels overlap
-        # (2 omega < |Delta|), so no level can be pinned to its index.
+    def test_strong_coupling_certifies_at_larger_truncation(self):
+        # At g = 0.49 the first truncation's tail floor lies below the top
+        # levels, so the truncation doubles until the enclosure holds.
         s = converged_levels(
             derive_params(0.49, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 10, 1e-8
         )
-        assert s.path == "doubling"
+        assert s.path == "a_posteriori"
         assert s.truncation_dim > 64
 
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])

@@ -305,9 +305,15 @@ class TestResidualStudy:
             assert b.res_times_n == pytest.approx(b.residual * b.n)
             assert b.res_n_over_log_n == pytest.approx(b.residual * b.n / math.log(b.n))
 
-    def test_convergence_failure_propagates(self):
-        with pytest.raises(ConvergenceError):
-            residual_study(PARAMS, Branch.PLUS, 10, 40, 1e-8, max_dim=64)
+    def test_convergence_failure_propagates(self, monkeypatch):
+        import rabi_spectra.perturb as perturb
+
+        def explode(*args, **kwargs):
+            raise ConvergenceError("synthetic cap")
+
+        monkeypatch.setattr(perturb, "converged_levels", explode)
+        with pytest.raises(ConvergenceError, match="synthetic cap"):
+            residual_study(PARAMS, Branch.PLUS, 10, 40, 1e-8)
 
     def test_range_guards(self):
         with pytest.raises(ValueError):
