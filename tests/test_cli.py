@@ -115,6 +115,31 @@ class TestSpectrum:
         assert "cap" in capsys.readouterr().err
         assert elapsed < 1.0
 
+    # Each would pass the dimension cap with the turning-point start (one
+    # chain of 1,020,211 sites at g 0.01) and then run for hours.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--g", "0.01", "--levels", "800000"],
+            ["spectrum", "--levels", "200000"],
+            ["residuals", "--n-max", "100000"],
+        ],
+        ids=["spectrum-g0.01", "spectrum", "residuals"],
+    )
+    def test_work_budget_exit_3_fast(self, tmp_path, monkeypatch, capsys, argv):
+        import rabi_spectra.eigensolve as eigensolve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was built before the budget check")
+
+        monkeypatch.setattr(eigensolve, "build_chain", refuse)
+        start = time.monotonic()
+        code = run_cli(argv, tmp_path)
+        elapsed = time.monotonic() - start
+        assert code == 3
+        assert "sites x levels" in capsys.readouterr().err
+        assert elapsed < 1.0
+
     def test_tol_below_floor_exit_2(self, tmp_path, capsys):
         code = run_cli(["spectrum", "--levels", "5", "--tol", "1e-300"], tmp_path)
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Sturm bisection, the dense LAPACK oracle, and the truncation certificate."""
 
+import itertools
 import math
 import time
 
@@ -20,6 +21,8 @@ from rabi_spectra import (
     eigenvalues_dense,
     sturm_count,
 )
+from rabi_spectra import eigensolve
+from rabi_spectra.eigensolve import _first_truncation, _guarded_counts, _sturm_counts
 
 RNG = np.random.default_rng(20240817)
 
@@ -52,6 +55,21 @@ class TestSturmCount:
             xs = np.sort(RNG.normal(0, 5, 40))
             counts = [sturm_count(t, float(x)) for x in xs]
             assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    # Block edges of the sweep: sizes around multiples of 16 and the 785
+    # sites of a criterion-9 chain.
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 785])
+    def test_fused_sweep_matches_guarded_counts(self, n):
+        # Integer diagonals with some couplings cut to zero split the chain
+        # into blocks; a shift at a diagonal entry before a cut makes a zero
+        # pivot next to a zero off-diagonal (0/0 in the unguarded sweep).
+        diag = RNG.integers(-3, 4, n).astype(float)
+        off = RNG.normal(0, 2, n - 1) * (RNG.random(n - 1) < 0.7)
+        t = SymTriMatrix(diag=diag, off=off)
+        # Shifts at the LAPACK eigenvalues fall within rounding of them.
+        dense = eigenvalues_dense(t.to_dense()).values if n <= 64 else np.array([])
+        xs = np.concatenate([RNG.normal(0, 5, 200), np.arange(-3.0, 4.0), diag[:40], dense])
+        np.testing.assert_array_equal(_sturm_counts(t, xs), _guarded_counts(t, xs))
 
     def test_exact_hit_on_reduced_matrix(self):
         # Shifts at diagonal entries of a split matrix make the unguarded
@@ -191,8 +209,20 @@ class TestConvergedLevels:
 
     def test_convergence_error_on_cap(self):
         p = derive_params(0.2, 1.0)
+        chain = ChainSelector(Branch.PLUS, Parity.EVEN)
+        cap = _first_truncation(p, chain, 40) - 1
         with pytest.raises(ConvergenceError):
-            converged_levels(p, ChainSelector(Branch.PLUS, Parity.EVEN), 40, 1e-8, max_dim=128)
+            converged_levels(p, chain, 40, 1e-8, max_dim=cap)
+
+    def test_work_budget_checked_after_doubling(self, monkeypatch):
+        # A 50-site start at g 0.43 must double; the budget lets only the
+        # first truncation through.
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 50)
+        monkeypatch.setattr(eigensolve, "MAX_CHAIN_WORK", 50 * 50)
+        with pytest.raises(ConvergenceError, match="sites x levels"):
+            converged_levels(
+                derive_params(0.43, 0.0), ChainSelector(Branch.PLUS, Parity.EVEN), 50, 1e-10
+            )
 
     def test_level_count_guard(self):
         with pytest.raises(ValueError):
@@ -230,41 +260,56 @@ class TestConvergedLevels:
         assert float(np.max(s.bounds)) < floor
 
 
+def exact_zero_delta_errors(s, g, parity):
+    """Distance of each certified value from the 40-digit Delta = 0 level."""
+    with mp.workdps(40):
+        omega = mp.sqrt(1 - 4 * mp.mpf(g) ** 2)
+        half = mp.mpf(1) / 2
+        exact = [omega * (2 * k + parity.offset + half) - half for k in range(s.values.size)]
+        return np.array([float(abs(mp.mpf(v) - e)) for v, e in zip(s.values, exact)])
+
+
 class TestCertificate:
-    # At g 0.43 the first truncation ends short of the top eigenvectors'
-    # turning points while the tail floor already clears the top level, so
-    # only the Sturm count of the lowered truncation rejects it.
     @pytest.mark.parametrize("g", [0.1, 0.43, 0.45])
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
     def test_bounds_enclose_exact_zero_delta_spectrum(self, g, parity):
         p = derive_params(g, 0.0)
         s = converged_levels(p, ChainSelector(Branch.PLUS, parity), 50, 1e-10)
         assert s.path == "a_posteriori"
-        with mp.workdps(40):
-            omega = mp.sqrt(1 - 4 * mp.mpf(g) ** 2)
-            half = mp.mpf(1) / 2
-            exact = [omega * (2 * k + parity.offset + half) - half for k in range(50)]
-            errors = np.array([float(abs(mp.mpf(v) - e)) for v, e in zip(s.values, exact)])
-        assert np.all(errors <= s.bounds)
+        assert np.all(exact_zero_delta_errors(s, g, parity) <= s.bounds)
         assert np.all(s.bounds < 1e-10)
+
+    # Started at 50 sites, g 0.43 doubles to 200 (the tail floor lies below
+    # the top levels at 50 and 100), where the floor clears the top level but
+    # the truncation still ends short of the top eigenvectors' turning
+    # points, so only the Sturm count of the lowered truncation rejects it.
+    # The turning-point start never cuts a chain that short, so the count is
+    # exercised from a forced start.  (From 64 the doubling lands on 256,
+    # already past the turning region.)
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_short_start_rejected_by_lowered_count(self, monkeypatch, parity):
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 50)
+        s = converged_levels(
+            derive_params(0.43, 0.0), ChainSelector(Branch.PLUS, parity), 50, 1e-10
+        )
+        assert s.truncation_dim > 200
+        assert np.all(exact_zero_delta_errors(s, 0.43, parity) <= s.bounds)
 
     # Delta 6 and 20 exceed twice the level spacing 2 omega, so the Weyl
     # brackets of neighbouring levels overlap; the enclosure needs no
-    # separation and certifies them at the first truncation.  At g 0.45 the
-    # eigenvectors reach past 4 * levels sites and the truncation doubles.
+    # separation and certifies them at the first truncation.
     @pytest.mark.parametrize(
-        "g,delta,first_truncation",
-        [(0.2, 1.0, True), (0.45, 1.0, False), (0.1, 6.0, True), (0.05, 20.0, True)],
+        "g,delta",
+        [(0.2, 1.0), (0.45, 1.0), (0.1, 6.0), (0.05, 20.0)],
         ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0"],
     )
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
-    def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, first_truncation, parity):
+    def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, parity):
         p = derive_params(g, delta)
         chain = ChainSelector(Branch.PLUS, parity)
         s = converged_levels(p, chain, 40, 1e-10)
         assert s.path == "a_posteriori"
-        if first_truncation:
-            assert s.truncation_dim == max(4 * 40, 64)
+        assert s.truncation_dim == _first_truncation(p, chain, 40)
         t = build_chain(p, chain, 2 * s.truncation_dim)
         reference = np.linalg.eigvalsh(t.to_dense())[:40]
         # LAPACK's own error is of order eps times the matrix norm.
@@ -304,12 +349,31 @@ class TestCertificate:
     def test_residual_chains_certify_at_first_truncation(self, parity):
         # The chains behind the three-term table of criterion 9 (n up to 800).
         levels = (800 - parity.offset) // 2 + 1
-        s = converged_levels(
-            derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, parity), levels, 1e-8
-        )
+        p = derive_params(0.2, 1.0)
+        chain = ChainSelector(Branch.PLUS, parity)
+        s = converged_levels(p, chain, levels, 1e-8)
         assert s.path == "a_posteriori"
-        assert s.truncation_dim == 4 * levels
+        assert s.truncation_dim == _first_truncation(p, chain, levels) <= 800
         assert float(np.max(s.bounds)) < 1e-8
+
+    @pytest.mark.parametrize("g", [0.01, 0.2, 0.35, 0.43, 0.49])
+    def test_first_truncation_needs_no_doubling(self, g):
+        # Work, not time: capping max_dim at the first truncation makes any
+        # doubling raise.  tol is raised to the floor where needed.
+        eps = np.finfo(float).eps
+        for delta, levels, tol, parity in itertools.product(
+            [0.0, -6.0, 1.0],
+            [1, 20, 120],
+            [1e-6, 1e-12],
+            [Parity.EVEN, Parity.ODD],
+        ):
+            p = derive_params(g, delta)
+            chain = ChainSelector(Branch.PLUS, parity)
+            mu_top = p.omega * (2 * (levels - 1) + parity.offset + 0.5) - 0.5
+            tol = max(tol, 8 * eps * max(1.0, mu_top + abs(delta) / 2))
+            first = _first_truncation(p, chain, levels)
+            s = converged_levels(p, chain, levels, tol, max_dim=first)
+            assert s.truncation_dim == first, (g, delta, levels, tol, parity)
 
     def test_bounds_read_only(self):
         s = converged_levels(
