@@ -3,14 +3,16 @@
 Two independent routes are kept deliberately decoupled so each can serve as
 an oracle for the other:
 
-* Sturm-sequence bisection on symmetric tridiagonal matrices (the production
-  path; vectorized over eigenvalue brackets), and
+* Sturm-sequence multisection on symmetric tridiagonal matrices (the
+  production path): each sweep counts up to ``_SWEEP_SHIFTS`` shifts spread
+  over the eigenvalue brackets, so few brackets shrink by a large factor per
+  sweep and many brackets are bisected, and
 * LAPACK's dense symmetric eigensolver (``numpy.linalg.eigvalsh``) on small
   matrices.
 
 Levels of the infinite Fock chains are certified from one truncation when
 possible: the chain is cut a decay margin past the turning point of the top
-level, each level is bisected from its Weyl bracket around the exactly
+level, each level is narrowed from its Weyl bracket around the exactly
 solvable Delta = 0 spectrum, and its bracket is shown to enclose the level of
 the infinite chain by min-max from above and, from below, by one Sturm count
 of the truncation with its last diagonal lowered by the dropped coupling
@@ -45,6 +47,8 @@ _EPS = float(np.finfo(float).eps)
 _PATHS = ("direct", "a_posteriori")
 # Sites per block of a Sturm sweep: d_i - x is formed for a block at once.
 _SWEEP_BLOCK = 16
+# Shifts per Sturm sweep of _bisect, shared out among the brackets.
+_SWEEP_SHIFTS = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -55,7 +59,8 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """Ascending eigenvalues with per-level error bounds.
 
-    ``truncation_dim`` records the matrix dimension the values came from.
+    ``values`` is a read-only copy of the eigenvalues, and ``truncation_dim``
+    records the matrix dimension they came from.
     ``bounds`` is a read-only per-level error bound (``tol`` for every level
     unless the solver supplies one) and ``path`` names the route behind it:
     ``"direct"`` for a solve of the given matrix, ``"a_posteriori"`` when
@@ -70,7 +75,8 @@ class Spectrum:
     path: str = "direct"
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.bounds is None:
             bounds = np.full(values.shape, float(self.tol))
@@ -161,19 +167,36 @@ def sturm_count(t: SymTriMatrix, x: float) -> int:
 def _bisect(
     t: SymTriMatrix, lo: np.ndarray, hi: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink brackets of the lowest ``lo.size`` eigenvalues to width <= tol.
+    """Shrink brackets of the lowest ``lo.size`` eigenvalues to width <= tol by multisection.
 
     Bracket k must satisfy count(lo_k) <= k < count(hi_k), so it holds the
-    k-th eigenvalue; each Sturm sweep halves every bracket.
+    k-th eigenvalue.  Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // k)
+    equally spaced interior points of every bracket at once (Simon, "Bisection
+    is not optimal on vector processors", 1989) and cuts the bracket to the
+    sub-interval where the count crosses k, a factor pts + 1 narrower; with
+    pts = 1 this is bisection at the midpoints.  The new lo is the last point
+    of the leading run of points whose count is <= k, so the invariant holds
+    even where rounding makes the counts non-monotone.  The number of sweeps
+    is bounded in advance, since a tol below one ulp of the level is never met.
     """
-    idx = np.arange(lo.size)
+    k = lo.size
+    idx = np.arange(k)
+    pts = max(1, _SWEEP_SHIFTS // k)
+    # Offsets from the midpoint, so that pts = 1 sweeps at 0.5 (lo + hi) exactly.
+    offsets = np.arange(1, pts + 1) / (pts + 1) - 0.5
     width = float(np.max(hi - lo))
-    steps = math.ceil(math.log2(width / tol)) + 1 if width > tol else 0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = _sturm_counts(t, mid) <= idx
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    if width > tol:
+        sweeps = math.ceil((math.log2(width) - math.log2(tol)) / math.log2(pts + 1)) + 1
+    else:
+        sweeps = 0
+    for _ in range(sweeps):
+        xs = (0.5 * (lo + hi))[:, None] + (hi - lo)[:, None] * offsets
+        # A bracket a few ulps wide can round a point just past one of its ends.
+        np.clip(xs, lo[:, None], hi[:, None], out=xs)
+        below = _sturm_counts(t, xs.ravel()).reshape(k, pts) <= idx[:, None]
+        run = np.logical_and.accumulate(below, axis=1).sum(axis=1)
+        grid = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
+        lo, hi = grid[idx, run], grid[idx, run + 1]
         if np.max(hi - lo) <= tol:
             break
     return lo, hi
@@ -187,10 +210,11 @@ def _bisect_lowest(t: SymTriMatrix, k: int, tol: float) -> np.ndarray:
 
 
 def eigenvalues_bisection(t: SymTriMatrix, tol: float) -> Spectrum:
-    """All eigenvalues of a symmetric tridiagonal matrix by Sturm bisection.
+    """All eigenvalues of a symmetric tridiagonal matrix by Sturm multisection.
 
     Brackets start from the Gershgorin interval, so no eigenvalue estimates
-    are needed from the caller.
+    are needed from the caller; see :func:`_bisect` for the sweeps, whose
+    number is bounded even for a tol below one ulp of the eigenvalues.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -201,7 +225,7 @@ def eigenvalues_bisection(t: SymTriMatrix, tol: float) -> Spectrum:
 def eigenvalues_dense(a: np.ndarray) -> Spectrum:
     """Eigenvalues of a small dense symmetric matrix by LAPACK (``numpy.linalg.eigvalsh``).
 
-    Independent oracle for the bisection route: Householder reduction and a
+    Independent oracle for the Sturm route: Householder reduction and a
     tridiagonal QR/divide-and-conquer solve share no code with the Sturm
     sweeps.  ``tol`` of the result is the nominal backward-error scale
     dim * eps * max(1, max|a_ij|).
@@ -212,6 +236,8 @@ def eigenvalues_dense(a: np.ndarray) -> Spectrum:
     n = a.shape[0]
     if n > DENSE_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the oracle-scale guard {DENSE_MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(a)))) if n else 1.0
     if n and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12")
@@ -266,7 +292,7 @@ def converged_levels(
     the tail floor F below clears the top level (``_first_truncation``).  The
     Delta = 0 chain has the exact levels mu_k = omega (2k + p + 1/2) - 1/2 and
     the perturbation has norm |Delta|/2, so by Weyl's inequality level k lies
-    in mu_k -+ |Delta|/2; bisection of T_N starts there and ends with
+    in mu_k -+ |Delta|/2; multisection of T_N starts there and ends with
     brackets [lo_k, hi_k].  Each bracket encloses eigenvalue k of the
     infinite chain H:
 

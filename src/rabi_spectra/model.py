@@ -121,7 +121,7 @@ def derive_params(g: float, delta: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class SymTriMatrix:
-    """Symmetric tridiagonal matrix stored as diagonal + off-diagonal arrays."""
+    """Symmetric tridiagonal matrix stored as diagonal + off-diagonal arrays of finite entries."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -135,6 +135,8 @@ class SymTriMatrix:
             raise ValueError("dimension must be at least 2")
         if self.off.size != self.diag.size - 1:
             raise ValueError("off-diagonal must have length N-1")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            raise ValueError("entries must be finite")
 
     @property
     def n(self) -> int:

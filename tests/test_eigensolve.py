@@ -22,7 +22,14 @@ from rabi_spectra import (
     sturm_count,
 )
 from rabi_spectra import eigensolve
-from rabi_spectra.eigensolve import _first_truncation, _guarded_counts, _sturm_counts
+from rabi_spectra.eigensolve import (
+    _SWEEP_SHIFTS,
+    _bisect,
+    _first_truncation,
+    _gershgorin,
+    _guarded_counts,
+    _sturm_counts,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -127,6 +134,111 @@ class TestBisection:
     def test_tol_guard(self):
         with pytest.raises(ValueError):
             eigenvalues_bisection(random_chain(4), 0.0)
+
+
+class TestNonFinite:
+    """NaN and inf entries are rejected where a matrix enters the solvers."""
+
+    def test_bisection_rejects_nan(self):
+        # Unchecked, the sweep returned [nan, nan].
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_bisection(SymTriMatrix(diag=[math.nan, 1.0], off=[0.5]), 1e-10)
+
+    def test_sturm_count_rejects_nan(self):
+        # Unchecked, every comparison with the NaN pivots was false: count 0.
+        with pytest.raises(ValueError, match="finite"):
+            sturm_count(SymTriMatrix(diag=[math.nan, 1.0], off=[0.5]), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dense_rejects_non_finite(self, bad):
+        # Unchecked, a NaN diagonal gave a plausible-looking [-0.707, 0.707].
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_dense(np.array([[bad, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_dense(np.array([[0.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("diag,off", [([math.inf, 1.0], [0.5]), ([0.0, 1.0], [-math.inf])])
+    def test_bisection_rejects_inf(self, diag, off):
+        # Unchecked, an infinite Gershgorin width raised OverflowError.
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_bisection(SymTriMatrix(diag=diag, off=off), 1e-10)
+
+
+def plain_bisect(t, lo, hi, tol):
+    """Fixed halving from count(lo_k) <= k < count(hi_k): one sweep per step."""
+    idx = np.arange(lo.size)
+    steps = math.ceil(math.log2(float(np.max(hi - lo)) / tol)) + 1
+    for sweeps in range(1, steps + 1):
+        mid = 0.5 * (lo + hi)
+        below = _sturm_counts(t, mid) <= idx
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if np.max(hi - lo) <= tol:
+            break
+    return lo, hi, sweeps
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    """Number of ``_sturm_counts`` sweeps made since the fixture was set up."""
+    calls = [0]
+
+    def counting(t, xs):
+        calls[0] += 1
+        return _sturm_counts(t, xs)
+
+    monkeypatch.setattr(eigensolve, "_sturm_counts", counting)
+    return calls
+
+
+class TestMultisection:
+    @pytest.mark.parametrize("g", [0.06, 0.2, 0.43, 0.485])
+    def test_small_spectrum_takes_ten_sweeps(self, sweep_counter, g):
+        # Weyl check + multisection + lowered count; plain bisection took 40.
+        s = converged_levels(derive_params(g, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 20, 1e-10)
+        assert s.path == "a_posteriori"
+        assert sweep_counter[0] <= 10
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_many_brackets_are_bisected(self, sweep_counter, extra):
+        # From _SWEEP_SHIFTS brackets on, each sweep has one point per bracket:
+        # the same sweeps and brackets as plain bisection.
+        n = _SWEEP_SHIFTS + extra
+        t = random_chain(n)
+        bottom, top = _gershgorin(t)
+        lo, hi = np.full(n, bottom), np.full(n, top)
+        got_lo, got_hi = _bisect(t, lo, hi, 1e-9)
+        sweeps = sweep_counter[0]
+        ref_lo, ref_hi, ref_sweeps = plain_bisect(t, lo, hi, 1e-9)
+        assert sweeps == ref_sweeps
+        np.testing.assert_array_equal(got_lo, ref_lo)
+        np.testing.assert_array_equal(got_hi, ref_hi)
+
+    def test_brackets_keep_invariant_on_random_chains(self):
+        # Integer diagonals with some couplings cut make split chains with
+        # repeated eigenvalues, where neighbouring brackets share points.
+        tol = 1e-10
+        for _ in range(40):
+            n = int(RNG.integers(2, 65))
+            diag = RNG.integers(-3, 4, n).astype(float)
+            off = RNG.normal(0, 2, n - 1) * (RNG.random(n - 1) < 0.7)
+            t = SymTriMatrix(diag=diag, off=off)
+            k = int(RNG.integers(1, n + 1))
+            bottom, top = _gershgorin(t)
+            lo, hi = _bisect(t, np.full(k, bottom), np.full(k, top), tol)
+            idx = np.arange(k)
+            assert np.all(_sturm_counts(t, lo) <= idx)
+            assert np.all(_sturm_counts(t, hi) > idx)
+            assert np.all(hi - lo <= tol)
+
+    def test_tol_below_ulp_stops_at_sweep_bound(self, sweep_counter):
+        # No bracket can reach width 1e-300; the sweep count is fixed in advance.
+        t = random_chain(12)
+        bottom, top = _gershgorin(t)
+        pts = _SWEEP_SHIFTS // t.n
+        bound = math.ceil((math.log2(top - bottom) - math.log2(1e-300)) / math.log2(pts + 1)) + 1
+        vals = eigenvalues_bisection(t, 1e-300).values
+        assert sweep_counter[0] <= bound
+        np.testing.assert_allclose(vals, eigenvalues_dense(t.to_dense()).values, atol=1e-12)
 
 
 class TestJacobi:
@@ -382,6 +494,12 @@ class TestCertificate:
         assert s.bounds.shape == s.values.shape
         with pytest.raises(ValueError):
             s.bounds[0] = 0.0
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+        # The caller's arrays are copied, not frozen.
+        values, bounds = np.arange(3.0), np.full(3, 1e-8)
+        eigensolve.Spectrum(values=values, truncation_dim=3, tol=1e-8, bounds=bounds)
+        values[0] = bounds[0] = 5.0
 
     def test_direct_solves_default_bounds(self):
         s = eigenvalues_bisection(random_chain(6), 1e-10)
