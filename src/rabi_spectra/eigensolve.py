@@ -203,9 +203,16 @@ def _bisect(
 
 
 def _bisect_lowest(t: SymTriMatrix, k: int, tol: float) -> np.ndarray:
-    """Lowest ``k`` eigenvalues, each bracketed from the Gershgorin interval to width <= tol."""
+    """Lowest ``k`` eigenvalues, bracketed from the Gershgorin interval to width <= tol.
+
+    Level j starts in the cell of ``_SWEEP_SHIFTS`` points where the running
+    maximum of their counts passes j, so count(lo) <= j < count(hi).
+    """
     lo_bound, hi_bound = _gershgorin(t)
-    lo, hi = _bisect(t, np.full(k, lo_bound), np.full(k, hi_bound), tol)
+    grid = np.linspace(lo_bound, hi_bound, _SWEEP_SHIFTS + 2)
+    counts = np.maximum.accumulate(_sturm_counts(t, grid[1:-1]))
+    start = np.searchsorted(counts, np.arange(k), side="right")
+    lo, hi = _bisect(t, grid[start], grid[start + 1], tol)
     return 0.5 * (lo + hi)
 
 

@@ -6,10 +6,12 @@ diag(omega (n + 1/2) - 1/2) + V~ with the bounded, non-compact perturbation
     V~_{m,n} = (-1)^{floor(n/2)} (Delta/2) sqrt(omega) g^{(m+n)/2}
                sqrt(m!/n!) P_n^{(s)}(omega/(2g)),     s = (m-n)/2, m >= n,
 
-symmetric in (m, n) and vanishing across parities.  This module evaluates
-V~ (scalar and row-wise), its diagonal asymptotics, the second-order
-correction sums, the generic resolvent gap bound delta_n, and assembles the
-three-term asymptotic formula
+symmetric in (m, n) and vanishing across parities.  The scalar V~ is the
+signed squeeze element (Delta/2) (-1)^floor(m/2) U(2 lam)_{m,n} of
+:mod:`rabi_spectra.squeeze`; rows come from an independent recurrence on
+the squeezed column.  This module evaluates V~ (scalar and row-wise), its
+diagonal asymptotics, the second-order correction sums, the generic
+resolvent gap bound delta_n, and assembles the three-term asymptotic formula
 
     E_n^{+-} = n omega + (omega - 1)/2 +- V~_nn-asymptotics + O(ln n / n)
 
@@ -24,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import polys
 from .eigensolve import Spectrum, converged_levels
 from .model import Branch, ChainSelector, ModelParams, Parity
 from .polys import MAX_ELEMENT_INDEX
+from .squeeze import _element
 
 __all__ = [
     "DegenerateGapError",
@@ -110,38 +112,17 @@ class SpectrumModel:
 def v_tilde(m: int, n: int, params: ModelParams) -> float:
     """Single element of the transformed perturbation matrix.
 
-    P_n^(s) is evaluated at x = omega/(2g) rounded to double, even when
-    ``p_fast_parts`` escalates to the exact sum.  Next to a node of P the
-    element is therefore off by up to 3.1e-11 relative (at g = 0.2,
-    (m, n) = (453, 405)), so checks of a row against this scalar cannot be
-    tighter there.
+    The signed squeeze element (Delta/2) (-1)^floor(m/2) U(2 lam)_{m,n}: the
+    kernel ``squeeze._element`` (see there for its accuracy next to nodes of
+    P) at tanh(4 lam) = 2g and 1/cosh(4 lam) = omega, so x = omega/(2g).
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m > MAX_ELEMENT_INDEX or n > MAX_ELEMENT_INDEX:
         raise ValueError(f"indices exceed the configured log-space range {MAX_ELEMENT_INDEX}")
-    if (m - n) % 2:
-        return 0.0
     if params.delta == 0.0:
         return 0.0
-    if m < n:
-        m, n = n, m
-    s = (m - n) // 2
-    x = params.omega / (2.0 * params.g)
-    parts = polys.p_fast_parts(n, s, x)
-    if parts.sign == 0.0:
-        return 0.0
-    log_abs = (
-        math.log(abs(params.delta) / 2.0)
-        + 0.5 * math.log(params.omega)
-        + 0.5 * (m + n) * math.log(params.g)
-        + 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1))
-        + parts.log_abs
-    )
-    sign = (-1.0) ** (n // 2) * math.copysign(1.0, params.delta) * parts.sign
-    if log_abs < -745.0:
-        return 0.0
-    return sign * math.exp(log_abs)
+    return (params.delta / 2.0) * (-1.0) ** (m // 2) * _element(m, n, 2.0 * params.g, params.omega)
 
 
 # Rescaling threshold of the recurrence passes (far from overflow).

@@ -4,7 +4,8 @@ Two independent constructions are cross-validated:
 
 * :func:`u_element` — the closed-form matrix elements obtained from the
   normal-ordered factorization U = e^{-gamma a+^2} e^{beta (a+a + 1/2)}
-  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam);
+  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam), whose
+  kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb`;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
   generator, via scaling-and-squaring with a Taylor core.
 
@@ -80,26 +81,24 @@ def u_matrix_oracle(n_dim: int, lam: float) -> np.ndarray:
     perturbs columns near the cut, and the error decays away from it.
     """
     _check_dim(n_dim)
+    if not math.isfinite(lam):
+        raise ValueError(f"squeeze parameter lam={lam!r} must be finite")
     return _expm(lam * squeeze_generator(n_dim))
 
 
-def u_element(m: int, n: int, lam: float) -> float:
-    """Closed-form squeeze matrix element (U(lam) e_n, e_m).
+def _element(m: int, n: int, t: float, c: float) -> float:
+    """Squeeze element U_{m,n} from t = tanh(2 lam) and c = 1/cosh(2 lam).
 
-    Zero unless m and n share parity.  For m >= n,
+    Perelomov's normal-ordered factorization gives, for m >= n, s = (m-n)/2,
 
-        U_{m,n} = e^{beta (n + 1/2)} (-gamma)^{(m-n)/2} sqrt(n! m!)
-                  * sum_k (-1)^k (gamma e^{-beta})^{2k}
-                    / (k! (n-2k)! ((m-n)/2 + k)!),
+        U_{m,n} = (-1)^s sqrt(c) (t/2)^{n+s} sqrt(m!/n!) P_n^{(s)}(c/t)
 
-    and U_{m,n} = (-1)^{(n-m)/2} U_{n,m} extends it to m < n.  The sum is
-    proportional to the polynomial family of :mod:`rabi_spectra.polys`
-    evaluated at 1/sinh(2 lam), so evaluation happens in log-magnitude +
-    sign form with the same compensated-summation / escalation machinery.
-
-    Raises:
-        ValueError: if an index is negative or exceeds the configured
-            log-space range (default 10^5).
+    (P of :mod:`rabi_spectra.polys`, in log-magnitude + sign form), and
+    U_{m,n} = (-1)^{(n-m)/2} U_{n,m} for m < n; elements across parities
+    vanish.  P is evaluated at c/t rounded once to double, even when
+    ``p_fast_parts`` escalates to the exact sum, so next to a node of P the
+    element is off by up to 3.1e-11 relative (V~ at g = 0.2,
+    (m, n) = (453, 405)); checks of a row against it cannot be tighter there.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
@@ -107,27 +106,35 @@ def u_element(m: int, n: int, lam: float) -> float:
         raise ValueError(f"indices exceed the configured log-space range {MAX_ELEMENT_INDEX}")
     if (m - n) % 2:
         return 0.0
-    if lam == 0.0:
+    if t == 0.0:
         return 1.0 if m == n else 0.0
     if m < n:
-        return (-1.0) ** ((n - m) // 2) * u_element(n, m, lam)
+        return (-1.0) ** ((n - m) // 2) * _element(n, m, t, c)
     s = (m - n) // 2
-    gamma = math.tanh(2.0 * lam) / 2.0
-    beta = -math.log(math.cosh(2.0 * lam))
-    z = math.sinh(2.0 * lam) / 2.0  # gamma * e^{-beta}
-    x = 1.0 / (2.0 * z)
-    parts = polys.p_fast_parts(n, s, x)
+    parts = polys.p_fast_parts(n, s, c / t)
     if parts.sign == 0.0:
         return 0.0
     log_abs = (
-        beta * (n + 0.5)
-        + s * math.log(abs(gamma))
+        0.5 * math.log(c)
+        + (n + s) * math.log(abs(t) / 2.0)
         + 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1))
-        + n * math.log(abs(z))
         + parts.log_abs
     )
-    sign = (-math.copysign(1.0, gamma)) ** s * math.copysign(1.0, z) ** n * parts.sign
+    sign = (-1.0) ** s * math.copysign(1.0, t) ** (n + s) * parts.sign
     return sign * math.exp(log_abs)
+
+
+def u_element(m: int, n: int, lam: float) -> float:
+    """Closed-form squeeze matrix element (U(lam) e_n, e_m); see :func:`_element`.
+
+    Raises:
+        ValueError: for a negative index or one above the configured
+            log-space range (default 10^5), or unless |lam| <= 354, where
+            1/cosh(2 lam) is still a normal double.
+    """
+    if not abs(lam) <= 354.0:  # also NaN
+        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
+    return _element(m, n, math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam))
 
 
 def factorization_residual(n_dim: int, lam: float) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -194,6 +195,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("g", ["0.2", "0.45"])
+    def test_row_vs_closed_form_passes(self, tmp_path, capsys, g):
+        code = run_cli(["verify", "--g", g, "--dim", "256", "--suite", "perturb"], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert re.search(r"^v_tilde_row_vs_closed_form: \S+ < 1\.0e-10 PASS$", out, re.M), out
 
     def test_domain_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--g", "0.0"], tmp_path) == 2

@@ -31,11 +31,10 @@ from rabi_spectra.eigensolve import (
     _sturm_counts,
 )
 
-RNG = np.random.default_rng(20240817)
 
-
-def random_chain(n: int) -> SymTriMatrix:
-    return SymTriMatrix(diag=RNG.normal(0, 3, n), off=RNG.normal(0, 2, n - 1))
+def random_chain(rng: np.random.Generator, n: int) -> SymTriMatrix:
+    """A random chain from ``rng``; each test seeds its own, so it replays alone."""
+    return SymTriMatrix(diag=rng.normal(0, 3, n), off=rng.normal(0, 2, n - 1))
 
 
 class TestSturmCount:
@@ -51,15 +50,17 @@ class TestSturmCount:
         assert sturm_count(t, 0.0) == 1
 
     def test_counts_match_jacobi_oracle(self):
-        t = random_chain(50)
+        rng = np.random.default_rng(1)
+        t = random_chain(rng, 50)
         oracle = eigenvalues_dense(t.to_dense()).values
-        for x in RNG.normal(0, 4, 25):
+        for x in rng.normal(0, 4, 25):
             assert sturm_count(t, float(x)) == int(np.sum(oracle < x))
 
     def test_monotone_in_shift(self):
+        rng = np.random.default_rng(2)
         for _ in range(5):
-            t = random_chain(30)
-            xs = np.sort(RNG.normal(0, 5, 40))
+            t = random_chain(rng, 30)
+            xs = np.sort(rng.normal(0, 5, 40))
             counts = [sturm_count(t, float(x)) for x in xs]
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -70,12 +71,13 @@ class TestSturmCount:
         # Integer diagonals with some couplings cut to zero split the chain
         # into blocks; a shift at a diagonal entry before a cut makes a zero
         # pivot next to a zero off-diagonal (0/0 in the unguarded sweep).
-        diag = RNG.integers(-3, 4, n).astype(float)
-        off = RNG.normal(0, 2, n - 1) * (RNG.random(n - 1) < 0.7)
+        rng = np.random.default_rng(3 + 1000 * n)
+        diag = rng.integers(-3, 4, n).astype(float)
+        off = rng.normal(0, 2, n - 1) * (rng.random(n - 1) < 0.7)
         t = SymTriMatrix(diag=diag, off=off)
         # Shifts at the LAPACK eigenvalues fall within rounding of them.
         dense = eigenvalues_dense(t.to_dense()).values if n <= 64 else np.array([])
-        xs = np.concatenate([RNG.normal(0, 5, 200), np.arange(-3.0, 4.0), diag[:40], dense])
+        xs = np.concatenate([rng.normal(0, 5, 200), np.arange(-3.0, 4.0), diag[:40], dense])
         np.testing.assert_array_equal(_sturm_counts(t, xs), _guarded_counts(t, xs))
 
     def test_exact_hit_on_reduced_matrix(self):
@@ -89,7 +91,7 @@ class TestSturmCount:
         assert sturm_count(SymTriMatrix(diag=[1.0, 2.0, 3.0], off=[0.0, 0.0]), 2.0) == 1
 
     def test_gershgorin_extremes(self):
-        t = random_chain(40)
+        t = random_chain(np.random.default_rng(4), 40)
         radius = np.zeros(40)
         radius[:-1] += np.abs(t.off)
         radius[1:] += np.abs(t.off)
@@ -124,16 +126,17 @@ class TestBisection:
 
     def test_oracle_equivalence_random(self):
         tol = 1e-10
+        rng = np.random.default_rng(5)
         for _ in range(25):
-            n = int(RNG.integers(2, 65))
-            t = random_chain(n)
+            n = int(rng.integers(2, 65))
+            t = random_chain(rng, n)
             bis = eigenvalues_bisection(t, tol).values
             dense = eigenvalues_dense(t.to_dense()).values
             np.testing.assert_allclose(bis, dense, atol=10 * tol)
 
     def test_tol_guard(self):
         with pytest.raises(ValueError):
-            eigenvalues_bisection(random_chain(4), 0.0)
+            eigenvalues_bisection(random_chain(np.random.default_rng(6), 4), 0.0)
 
 
 class TestNonFinite:
@@ -203,7 +206,7 @@ class TestMultisection:
         # From _SWEEP_SHIFTS brackets on, each sweep has one point per bracket:
         # the same sweeps and brackets as plain bisection.
         n = _SWEEP_SHIFTS + extra
-        t = random_chain(n)
+        t = random_chain(np.random.default_rng(7 + 1000 * extra), n)
         bottom, top = _gershgorin(t)
         lo, hi = np.full(n, bottom), np.full(n, top)
         got_lo, got_hi = _bisect(t, lo, hi, 1e-9)
@@ -217,12 +220,13 @@ class TestMultisection:
         # Integer diagonals with some couplings cut make split chains with
         # repeated eigenvalues, where neighbouring brackets share points.
         tol = 1e-10
+        rng = np.random.default_rng(8)
         for _ in range(40):
-            n = int(RNG.integers(2, 65))
-            diag = RNG.integers(-3, 4, n).astype(float)
-            off = RNG.normal(0, 2, n - 1) * (RNG.random(n - 1) < 0.7)
+            n = int(rng.integers(2, 65))
+            diag = rng.integers(-3, 4, n).astype(float)
+            off = rng.normal(0, 2, n - 1) * (rng.random(n - 1) < 0.7)
             t = SymTriMatrix(diag=diag, off=off)
-            k = int(RNG.integers(1, n + 1))
+            k = int(rng.integers(1, n + 1))
             bottom, top = _gershgorin(t)
             lo, hi = _bisect(t, np.full(k, bottom), np.full(k, top), tol)
             idx = np.arange(k)
@@ -230,9 +234,31 @@ class TestMultisection:
             assert np.all(_sturm_counts(t, hi) > idx)
             assert np.all(hi - lo <= tol)
 
+    def test_separated_levels_count_distinct_shifts(self, monkeypatch):
+        # One start sweep puts every level of a well-separated spectrum in a
+        # cell of its own, so no shift is counted twice.  From one shared
+        # Gershgorin start, 17% of the shifts of criterion-11-like solves
+        # were duplicates.
+        shifts = []
+
+        def recording(t, xs):
+            shifts.append(np.asarray(xs))
+            return _sturm_counts(t, xs)
+
+        monkeypatch.setattr(eigensolve, "_sturm_counts", recording)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 65))
+            t = SymTriMatrix(
+                diag=2.0 * np.arange(n) + rng.uniform(-0.3, 0.3, n), off=rng.uniform(-0.2, 0.2, n - 1)
+            )
+            dense = eigenvalues_dense(t.to_dense()).values
+            np.testing.assert_allclose(eigenvalues_bisection(t, 1e-10).values, dense, atol=1e-9)
+        assert all(np.unique(xs).size == xs.size for xs in shifts)
+
     def test_tol_below_ulp_stops_at_sweep_bound(self, sweep_counter):
         # No bracket can reach width 1e-300; the sweep count is fixed in advance.
-        t = random_chain(12)
+        t = random_chain(np.random.default_rng(9), 12)
         bottom, top = _gershgorin(t)
         pts = _SWEEP_SHIFTS // t.n
         bound = math.ceil((math.log2(top - bottom) - math.log2(1e-300)) / math.log2(pts + 1)) + 1
@@ -274,8 +300,9 @@ class TestJacobi:
             eigenvalues_dense(np.ones((3, 4)))
 
     def test_trace_preservation(self):
+        rng = np.random.default_rng(10)
         for _ in range(5):
-            t = random_chain(24).to_dense()
+            t = random_chain(rng, 24).to_dense()
             s = eigenvalues_dense(t)
             assert abs(np.sum(s.values) - np.trace(t)) <= 1e-9 * max(1.0, abs(np.trace(t)))
 
@@ -502,6 +529,6 @@ class TestCertificate:
         values[0] = bounds[0] = 5.0
 
     def test_direct_solves_default_bounds(self):
-        s = eigenvalues_bisection(random_chain(6), 1e-10)
+        s = eigenvalues_bisection(random_chain(np.random.default_rng(11), 6), 1e-10)
         assert s.path == "direct"
         np.testing.assert_array_equal(s.bounds, np.full(6, 1e-10))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -85,14 +86,38 @@ class TestVTilde:
         assert worst < 1.2
 
     def test_consistency_with_squeeze_product(self):
-        # V~ from the polynomial route equals V . U(2 lam) elementwise.
+        # Recurrence rows equal V . U(2 lam) from the closed-form squeeze elements.
         signs = parity_sign_diagonal(64, PARAMS.delta)
         worst = 0.0
-        for m in range(64):
-            for n in range(m % 2, 64, 2):
-                via_u = signs[m] * u_element(m, n, 2.0 * PARAMS.lam)
-                worst = max(worst, abs(v_tilde(m, n, PARAMS) - via_u))
+        for n in range(64):
+            ks, vals = v_tilde_row(PARAMS, n, 63)
+            for k, value in zip(ks.tolist(), vals.tolist()):
+                via_u = signs[k] * u_element(k, n, 2.0 * PARAMS.lam)
+                worst = max(worst, abs(value - via_u))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize(
+        "m,n,rel", [(453, 405, 4e-11), (405, 405, 1e-13), (800, 800, 1e-13)]
+    )
+    def test_accuracy_against_mp_sum(self, m, n, rel):
+        # P is evaluated at omega/(2g) rounded once: 3.07e-11 next to a node
+        # at (453, 405), and about 7e-14 on the diagonal.  Going through
+        # u_element(m, n, 2 lam) instead measured 1.8e-13 and 2.9e-13 on the
+        # diagonal.
+        s = (m - n) // 2
+        with mp.workdps(120):
+            g = mp.mpf(PARAMS.g)
+            omega = mp.sqrt(1 - 4 * g * g)
+            poly = mp.fsum(
+                (-1) ** k * mp.factorial(n) * (omega / g) ** (n - 2 * k)
+                / (mp.factorial(k) * mp.factorial(n - 2 * k) * mp.factorial(s + k))
+                for k in range(n // 2 + 1)
+            )
+            ref = (
+                (-1) ** (n // 2) * mp.mpf(PARAMS.delta) / 2 * mp.sqrt(omega) * g ** (n + s)
+                * mp.sqrt(mp.factorial(m) / mp.factorial(n)) * poly
+            )
+            assert abs((v_tilde(m, n, PARAMS) - ref) / ref) < rel
 
     def test_zero_delta(self):
         p0 = derive_params(0.2, 0.0)
@@ -103,6 +128,10 @@ class TestVTilde:
     def test_index_guard(self):
         with pytest.raises(ValueError):
             v_tilde(100_001, 1, PARAMS)
+        with pytest.raises(ValueError):
+            v_tilde(100_001, 1, derive_params(0.2, 0.0))
+        with pytest.raises(ValueError):
+            v_tilde(-1, 1, derive_params(0.2, 0.0))
 
 
 class TestRowRecurrence:

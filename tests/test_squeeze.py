@@ -53,6 +53,18 @@ class TestUElement:
         with pytest.raises(ValueError):
             u_element(100_001, 1, 0.1)
 
+    def test_non_finite_lam(self):
+        # Unchecked, the vacuum element at lam = inf was NaN.
+        with pytest.raises(ValueError, match="lam"):
+            u_element(0, 0, math.inf)
+        with pytest.raises(ValueError, match="lam"):
+            u_element(0, 0, math.nan)
+
+    def test_lam_past_cosh_range(self):
+        # Unchecked, math.cosh(800.0) leaked an OverflowError.
+        with pytest.raises(ValueError, match="lam"):
+            u_element(2, 0, 400.0)
+
 
 class TestOracle:
     def test_identity_at_zero(self):
@@ -84,6 +96,11 @@ class TestOracle:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             u_matrix_oracle(513, 0.1)
+
+    def test_non_finite_lam(self):
+        # Unchecked, lam = NaN gave a NaN matrix.
+        with pytest.raises(ValueError, match="lam"):
+            u_matrix_oracle(8, math.nan)
 
 
 class TestFactorization:
