@@ -7,7 +7,11 @@ Two independent constructions are cross-validated:
   e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam), whose
   kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb`;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
-  generator, via scaling-and-squaring with a Taylor core.
+  generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
+  couples even and odd Fock states, so the exponential is block-diagonal by
+  parity and is taken on the two half-size parity blocks.  The result is
+  cached per (dim, lam), so the checks of one verify run share one build,
+  and it is read-only.
 
 Truncation pollutes high indices only, so residual checks are made on the
 top-left quarter block ("certified block") of the truncation.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,8 +79,23 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=1)
+def _oracle_cached(n_dim: int, lam: float) -> np.ndarray:
+    g = lam * squeeze_generator(n_dim)
+    u = np.zeros((n_dim, n_dim))
+    for p in (0, 1):
+        u[p::2, p::2] = _expm(g[p::2, p::2])
+    u.setflags(write=False)
+    return u
+
+
 def u_matrix_oracle(n_dim: int, lam: float) -> np.ndarray:
-    """exp(lam (a^2 - a+^2)) on the truncation.
+    """exp(lam (a^2 - a+^2)) on the truncation, as a read-only array.
+
+    The generator never couples even and odd indices, so the exponential is
+    block-diagonal by parity: each parity block is exponentiated on its own
+    and entries across parities are exactly 0.  The last result is cached
+    per (n_dim, lam) and shared between callers, hence read-only.
 
     Only the top-left quarter block is certified: truncating the generator
     perturbs columns near the cut, and the error decays away from it.
@@ -83,7 +103,7 @@ def u_matrix_oracle(n_dim: int, lam: float) -> np.ndarray:
     _check_dim(n_dim)
     if not math.isfinite(lam):
         raise ValueError(f"squeeze parameter lam={lam!r} must be finite")
-    return _expm(lam * squeeze_generator(n_dim))
+    return _oracle_cached(n_dim, float(lam))
 
 
 def _element(m: int, n: int, t: float, c: float) -> float:
@@ -124,6 +144,11 @@ def _element(m: int, n: int, t: float, c: float) -> float:
     return sign * math.exp(log_abs)
 
 
+def _check_lam(lam: float) -> None:
+    if not abs(lam) <= 354.0:  # also NaN
+        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
+
+
 def u_element(m: int, n: int, lam: float) -> float:
     """Closed-form squeeze matrix element (U(lam) e_n, e_m); see :func:`_element`.
 
@@ -132,8 +157,7 @@ def u_element(m: int, n: int, lam: float) -> float:
             log-space range (default 10^5), or unless |lam| <= 354, where
             1/cosh(2 lam) is still a normal double.
     """
-    if not abs(lam) <= 354.0:  # also NaN
-        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
+    _check_lam(lam)
     return _element(m, n, math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam))
 
 
@@ -152,8 +176,13 @@ def factorization_residual(n_dim: int, lam: float) -> float:
     behind P cancels catastrophically for strong squeezing, so everything
     but the first two factors is evaluated exactly, in rationals of the
     doubles gamma and e^beta, by the integer kernel of :mod:`rabi_spectra.polys`.
+
+    Raises:
+        ValueError: for a dimension outside [2, MAX_ORACLE_DIM], or unless
+            |lam| <= 354, as in :func:`u_element`.
     """
     _check_dim(n_dim)
+    _check_lam(lam)
     gamma = math.tanh(2.0 * lam) / 2.0
     beta = -math.log(math.cosh(2.0 * lam))
     q = _certified(n_dim)

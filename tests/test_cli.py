@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from rabi_spectra import cli
+from rabi_spectra import cli, squeeze
 from rabi_spectra.cli import main
 
 
@@ -195,6 +195,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_warm_cache_rerun_is_identical(self, tmp_path, capsys):
+        squeeze._oracle_cached.cache_clear()
+        argv = ["verify", "--suite", "all", "--g", "0.45", "--dim", "256"]
+        outs = []
+        for _ in range(2):
+            assert run_cli(argv, tmp_path) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("g", ["0.2", "0.45"])
     def test_row_vs_closed_form_passes(self, tmp_path, capsys, g):

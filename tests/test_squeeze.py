@@ -9,6 +9,7 @@ from rabi_spectra import (
     derive_params,
     factorization_residual,
     h0_transform_residual,
+    squeeze,
     squeeze_generator,
     u_element,
     u_matrix_oracle,
@@ -76,9 +77,10 @@ class TestOracle:
 
     def test_block_matches_u_element_table(self):
         lam = derive_params(0.3, 1.0).lam
-        oracle = u_matrix_oracle(256, lam)
         table = np.array([[u_element(m, n, lam) for n in range(64)] for m in range(64)])
-        assert float(np.max(np.abs(table - oracle[:64, :64]))) < 1e-10
+        for n_dim in (256, 255):
+            oracle = u_matrix_oracle(n_dim, lam)
+            assert float(np.max(np.abs(table - oracle[:64, :64]))) < 1e-10
 
     def test_orthogonality_on_certified_block(self):
         lam = derive_params(0.25, 1.0).lam
@@ -102,10 +104,43 @@ class TestOracle:
         with pytest.raises(ValueError, match="lam"):
             u_matrix_oracle(8, math.nan)
 
+    def test_result_is_read_only(self):
+        u = u_matrix_oracle(16, 0.1)
+        with pytest.raises(ValueError):
+            u[0, 0] = 2.0
+
+    def test_cross_parity_entries_are_zero(self):
+        u = u_matrix_oracle(33, 0.3)
+        assert not np.any(u[0::2, 1::2]) and not np.any(u[1::2, 0::2])
+
+    def test_cache_key_carries_lam(self):
+        lam1, lam2 = 0.07, 0.11
+        cold = {}
+        for lam in (lam1, lam2):
+            squeeze._oracle_cached.cache_clear()
+            cold[lam] = u_matrix_oracle(64, lam).copy()
+        for lam in (lam1, lam2, lam1):
+            np.testing.assert_array_equal(u_matrix_oracle(64, lam), cold[lam])
+
+    @pytest.mark.parametrize(
+        "n_dim, lam",
+        [(n, 0.3) for n in (2, 3, 7, 255)]
+        + [(n, derive_params(g, 1.0).lam) for n in (64, 256, 512) for g in (0.2, 0.45)],
+    )
+    def test_matches_unsplit_exponential(self, n_dim, lam):
+        full = squeeze._expm(lam * squeeze_generator(n_dim))
+        assert float(np.max(np.abs(u_matrix_oracle(n_dim, lam) - full))) < 1e-14
+
 
 class TestFactorization:
     def test_identity_at_zero(self):
         assert factorization_residual(64, 0.0) == 0.0
+
+    @pytest.mark.parametrize("lam", [400.0, math.nan])
+    def test_lam_out_of_range(self, lam):
+        # Unchecked, lam = 400 raised OverflowError from math.cosh.
+        with pytest.raises(ValueError, match="lam"):
+            factorization_residual(64, lam)
 
     def test_moderate_coupling(self):
         lam = derive_params(0.2, 1.0).lam
