@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 DENSE_MAX_DIM = 512
-DEFAULT_MAX_CHAIN_DIM = 2**20
-# Largest sites x levels that one truncation of converged_levels may solve.
+# Caps on one truncation of converged_levels: chain sites, and sites x levels.
+MAX_CHAIN_DIM = 2**20
 MAX_CHAIN_WORK = 2**26
 _EPS = float(np.finfo(float).eps)
 _PATHS = ("direct", "a_posteriori")
@@ -291,7 +291,6 @@ def converged_levels(
     chain: ChainSelector,
     level_count: int,
     tol: float,
-    max_dim: int = DEFAULT_MAX_CHAIN_DIM,
 ) -> Spectrum:
     """Lowest ``level_count`` eigenvalues of an infinite parity chain, certified to ``tol``.
 
@@ -324,8 +323,9 @@ def converged_levels(
             or if tol is below 8 eps max(1, mu_top + |Delta|/2), the
             spacing double precision resolves at the top requested level.
         ConvergenceError: if, before every level is accepted, the next
-            truncation would exceed ``max_dim`` sites or ``MAX_CHAIN_WORK``
-            sites x levels; this is checked before each chain is built.
+            truncation would exceed the module caps ``MAX_CHAIN_DIM`` sites
+            or ``MAX_CHAIN_WORK`` sites x levels; both are checked before
+            each chain is built.
     """
     if level_count < 1:
         raise ValueError("level_count must be at least 1")
@@ -342,10 +342,10 @@ def converged_levels(
     idx = np.arange(level_count)
     ceiling = np.full(level_count, np.inf)
     while True:
-        if n_dim > max_dim or n_dim * level_count > MAX_CHAIN_WORK:
+        if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
             raise ConvergenceError(
                 f"{level_count} levels need chain dimension {n_dim}"
-                f" ({n_dim * level_count} sites x levels), beyond the cap of {max_dim} sites"
+                f" ({n_dim * level_count} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
                 f" or {MAX_CHAIN_WORK} sites x levels"
             )
         full = build_chain(params, chain, n_dim + 1)

@@ -30,7 +30,6 @@ __all__ = [
     "ChainSelector",
     "ModelParams",
     "SymTriMatrix",
-    "BandedMatrix",
     "derive_params",
     "build_chain",
     "build_full_branch",
@@ -150,33 +149,6 @@ class SymTriMatrix:
         return a
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
-    """Symmetric matrix with a main diagonal and a second super/subdiagonal."""
-
-    diag: np.ndarray
-    off2: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "off2", np.asarray(self.off2, dtype=float))
-        if self.diag.size < 4:
-            raise ValueError("dimension must be at least 4")
-        if self.off2.size != self.diag.size - 2:
-            raise ValueError("second superdiagonal must have length N-2")
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        idx = np.arange(self.n - 2)
-        a[idx, idx + 2] = self.off2
-        a[idx + 2, idx] = self.off2
-        return a
-
-
 def build_chain(params: ModelParams, chain: ChainSelector, n_dim: int) -> SymTriMatrix:
     """Truncated tridiagonal matrix of one parity chain.
 
@@ -197,18 +169,21 @@ def build_chain(params: ModelParams, chain: ChainSelector, n_dim: int) -> SymTri
     return SymTriMatrix(diag=diag, off=off)
 
 
-def build_full_branch(params: ModelParams, branch: Branch, n_dim: int) -> BandedMatrix:
-    """Truncated bandwidth-2 matrix of a full branch (parity chains interleaved).
+def build_full_branch(params: ModelParams, branch: Branch, n_dim: int) -> np.ndarray:
+    """Dense bandwidth-2 truncation of a full branch (parity chains interleaved).
 
-    Used only as the oracle for the parity split: its spectrum at even n_dim
-    equals the union of the two chain spectra at dimension n_dim/2 exactly,
-    because the split is a permutation similarity of the truncated matrix.
+    The oracle for the parity split: its spectrum at even n_dim equals the
+    union of the two chain spectra at dimension n_dim/2 exactly, because the
+    split is a permutation similarity of the truncated matrix.  At Delta = 0
+    it is the H0 of :func:`rabi_spectra.squeeze.h0_transform_residual`.
     """
     if n_dim < 4:
         raise ValueError("n_dim must be at least 4")
     fock = np.arange(n_dim)
     signs = (-1.0) ** (fock // 2)
-    diag = fock + branch.sign * (params.delta / 2.0) * signs
+    h = np.diag(fock + branch.sign * (params.delta / 2.0) * signs)
     nf = fock[:-2].astype(float)
     off2 = params.g * np.sqrt((nf + 1.0) * (nf + 2.0))
-    return BandedMatrix(diag=diag, off2=off2)
+    h[fock[:-2], fock[2:]] = off2
+    h[fock[2:], fock[:-2]] = off2
+    return h

@@ -26,19 +26,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import polys
-from .model import derive_params
+from .model import Branch, build_full_branch, derive_params
 from .polys import MAX_ELEMENT_INDEX
 
 __all__ = [
     "MAX_ORACLE_DIM",
-    "MAX_ELEMENT_INDEX",
     "squeeze_generator",
     "u_element",
     "u_matrix_oracle",
     "factorization_residual",
     "h0_transform_residual",
     "uvu_residual",
-    "h0_matrix",
     "parity_sign_diagonal",
 ]
 
@@ -205,16 +203,6 @@ def factorization_residual(n_dim: int, lam: float) -> float:
     return float(np.max(np.abs(product - oracle_block)))
 
 
-def h0_matrix(n_dim: int, g: float) -> np.ndarray:
-    """Dense truncation of a+ a + g (a^2 + a+^2)."""
-    h = np.diag(np.arange(n_dim, dtype=float))
-    ns = np.arange(n_dim - 2)
-    coeff = g * np.sqrt((ns + 1.0) * (ns + 2.0))
-    h[ns, ns + 2] += coeff
-    h[ns + 2, ns] += coeff
-    return h
-
-
 def h0_transform_residual(n_dim: int, g: float) -> float:
     """Certified-block residual of U^T H0 U against the oscillator diagonal.
 
@@ -226,12 +214,16 @@ def h0_transform_residual(n_dim: int, g: float) -> float:
     pollution reaches index ~n_dim / e^{4 lam} instead of ~n_dim.  The
     assertion block therefore shrinks from the quarter-block convention to
     min(n_dim/4, n_dim / (2 e^{4 lam})) once the squeeze spread e^{4 lam}
-    exceeds 2 (i.e. g > 0.3); below that the two coincide.
+    exceeds 2 (i.e. g > 0.3); below that the two coincide.  H0 is the
+    Delta = 0 branch matrix of :func:`rabi_spectra.model.build_full_branch`.
+
+    Raises:
+        ValueError: for a dimension outside [4, MAX_ORACLE_DIM].
     """
     _check_dim(n_dim)
     params = derive_params(g, 0.0)
     u = u_matrix_oracle(n_dim, params.lam)
-    transformed = u.T @ h0_matrix(n_dim, g) @ u
+    transformed = u.T @ build_full_branch(params, Branch.PLUS, n_dim) @ u
     target = params.omega * (np.arange(n_dim) + 0.5) - 0.5
     spread = math.exp(4.0 * params.lam)
     q = max(2, min(_certified(n_dim), int(n_dim / (2.0 * spread))))

@@ -243,7 +243,7 @@ def test_criterion_11_eigensolver_oracle_equivalence():
         dense = rs.eigenvalues_dense(t.to_dense()).values
         worst_pair = max(worst_pair, float(np.max(np.abs(bis - dense))))
     p = rs.derive_params(0.3, 1.2)
-    full = rs.eigenvalues_dense(rs.build_full_branch(p, rs.Branch.PLUS, 64).to_dense())
+    full = rs.eigenvalues_dense(rs.build_full_branch(p, rs.Branch.PLUS, 64))
     merged = np.sort(
         np.concatenate(
             [

@@ -212,6 +212,28 @@ class TestVerify:
         assert code == 0, out
         assert re.search(r"^v_tilde_row_vs_closed_form: \S+ < 1\.0e-10 PASS$", out, re.M), out
 
+    # Warnings are errors here: an inf or nan residual must show as a FAIL
+    # line, not as a numpy warning or a traceback.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g", ["1e-300", "1e-3", "0.02"])
+    def test_small_coupling_reports_every_check(self, tmp_path, capsys, g):
+        code = run_cli(["verify", "--suite", "all", "--g", g], tmp_path)
+        out, err = capsys.readouterr()
+        assert code in (0, 1), err
+        assert len(re.findall(r"^\w+: \S+ < \S+ (?:PASS|FAIL)$", out, re.M)) == 15, out
+        assert not re.search(r"(?:inf|nan) < \S+ PASS", out), out
+        assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_delta_exit_1(self, tmp_path, capsys):
+        # The row sums overflow to inf, so their residual is nan: it must FAIL.
+        code = run_cli(["verify", "--delta", "1e200"], tmp_path)
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert re.search(r"^row_sum_identity: nan < \S+ FAIL$", out, re.M), out
+        assert not re.search(r"(?:inf|nan) < \S+ PASS", out), out
+        assert err == ""
+
     def test_domain_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--g", "0.0"], tmp_path) == 2
         assert "(0, 1/2)" in capsys.readouterr().err

@@ -346,12 +346,12 @@ class TestConvergedLevels:
                 assert np.all(vals <= prev + 10 * tol)
             prev = vals
 
-    def test_convergence_error_on_cap(self):
+    def test_convergence_error_on_cap(self, monkeypatch):
         p = derive_params(0.2, 1.0)
         chain = ChainSelector(Branch.PLUS, Parity.EVEN)
-        cap = _first_truncation(p, chain, 40) - 1
+        monkeypatch.setattr(eigensolve, "MAX_CHAIN_DIM", _first_truncation(p, chain, 40) - 1)
         with pytest.raises(ConvergenceError):
-            converged_levels(p, chain, 40, 1e-8, max_dim=cap)
+            converged_levels(p, chain, 40, 1e-8)
 
     def test_work_budget_checked_after_doubling(self, monkeypatch):
         # A 50-site start at g 0.43 must double; the budget lets only the
@@ -497,8 +497,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("g", [0.01, 0.2, 0.35, 0.43, 0.49])
     def test_first_truncation_needs_no_doubling(self, g):
-        # Work, not time: capping max_dim at the first truncation makes any
-        # doubling raise.  tol is raised to the floor where needed.
+        # Work, not time: the certificate must come from the first
+        # truncation, with no doubling.  tol is raised to the floor where needed.
         eps = np.finfo(float).eps
         for delta, levels, tol, parity in itertools.product(
             [0.0, -6.0, 1.0],
@@ -511,7 +511,7 @@ class TestCertificate:
             mu_top = p.omega * (2 * (levels - 1) + parity.offset + 0.5) - 0.5
             tol = max(tol, 8 * eps * max(1.0, mu_top + abs(delta) / 2))
             first = _first_truncation(p, chain, levels)
-            s = converged_levels(p, chain, levels, tol, max_dim=first)
+            s = converged_levels(p, chain, levels, tol)
             assert s.truncation_dim == first, (g, delta, levels, tol, parity)
 
     def test_bounds_read_only(self):

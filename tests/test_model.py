@@ -124,8 +124,7 @@ class TestBuildChain:
 class TestBuildFullBranch:
     def test_zero_coupling_diagonal(self):
         b = build_full_branch(zero_coupling_params(1.0), Branch.PLUS, 4)
-        np.testing.assert_array_equal(b.diag, [0.5, 1.5, 1.5, 2.5])
-        np.testing.assert_array_equal(b.off2, [0.0, 0.0])
+        np.testing.assert_array_equal(b, np.diag([0.5, 1.5, 1.5, 2.5]))
 
     @pytest.mark.parametrize(
         "g,delta,branch", [(0.2, 1.0, Branch.PLUS), (0.35, 0.4, Branch.MINUS), (0.1, -2.0, Branch.PLUS)]
@@ -143,13 +142,13 @@ class TestBuildFullBranch:
                 ]
             )
         )
-        dense = eigenvalues_dense(full.to_dense()).values
+        dense = eigenvalues_dense(full).values
         np.testing.assert_allclose(dense, merged, atol=1e-10)
 
     def test_branch_symmetry_at_zero_delta(self):
         p = derive_params(0.4, 0.0)
-        plus = eigenvalues_dense(build_full_branch(p, Branch.PLUS, 6).to_dense()).values
-        minus = eigenvalues_dense(build_full_branch(p, Branch.MINUS, 6).to_dense()).values
+        plus = eigenvalues_dense(build_full_branch(p, Branch.PLUS, 6)).values
+        minus = eigenvalues_dense(build_full_branch(p, Branch.MINUS, 6)).values
         np.testing.assert_allclose(plus, minus, atol=1e-12)
 
     def test_dimension_guard(self):
