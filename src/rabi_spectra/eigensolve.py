@@ -16,9 +16,8 @@ level, each level is narrowed from its Weyl bracket around the exactly
 solvable Delta = 0 spectrum, and its bracket is shown to enclose the level of
 the infinite chain by min-max from above and, from below, by one Sturm count
 of the truncation with its last diagonal lowered by the dropped coupling
-(a rank-one split whose tail lies above a closed-form floor).  Levels that
-are not yet enclosed make the truncation double, within a work budget of
-sites x levels checked before each chain is built.
+(a rank-one split whose tail lies above a closed-form floor).  One chain is
+built per certificate, after a work budget of sites x levels is checked.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ _SWEEP_SHIFTS = 512
 
 
 class ConvergenceError(RuntimeError):
-    """The chain-dimension cap was reached before the levels were certified."""
+    """No certificate: the truncation exceeds a cap, or a level is not enclosed to tol there."""
 
 
 @dataclass(frozen=True)
@@ -253,9 +252,9 @@ def eigenvalues_dense(a: np.ndarray) -> Spectrum:
 
 
 def _weyl_brackets(
-    t: SymTriMatrix, centres: np.ndarray, half: float, ceiling: np.ndarray
+    t: SymTriMatrix, centres: np.ndarray, half: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start brackets centre_k -+ half (capped at ``ceiling``), checked by one Sturm sweep.
+    """Start brackets centre_k -+ half, checked by one Sturm sweep.
 
     An end whose count is wrong widens to the Gershgorin interval: the top
     fails when truncation lifts the level above its Weyl bracket, the bottom
@@ -264,7 +263,7 @@ def _weyl_brackets(
     k = centres.size
     idx = np.arange(k)
     lo = centres - half
-    hi = np.minimum(centres + half, ceiling)
+    hi = centres + half
     counts = _sturm_counts(t, np.concatenate([lo, hi]))
     bottom, top = _gershgorin(t)
     return np.where(counts[:k] <= idx, lo, bottom), np.where(counts[k:] > idx, hi, top)
@@ -294,7 +293,7 @@ def converged_levels(
 ) -> Spectrum:
     """Lowest ``level_count`` eigenvalues of an infinite parity chain, certified to ``tol``.
 
-    The chain is first truncated at N sites, a margin past the site where
+    The chain is truncated once, at N sites, a margin past the site where
     the tail floor F below clears the top level (``_first_truncation``).  The
     Delta = 0 chain has the exact levels mu_k = omega (2k + p + 1/2) - 1/2 and
     the perturbation has norm |Delta|/2, so by Weyl's inequality level k lies
@@ -314,58 +313,51 @@ def converged_levels(
     ``bounds`` is the bracket half-width plus a rounding allowance of
     4 eps max(1, |value| + |Delta|/2) for the Sturm counts, by which F is
     widened too; against 40-digit Delta = 0 levels the rounding measured at
-    most 0.7 eps |value|.  A level is accepted when its enclosure holds and
-    its bound is below ``tol``; otherwise the truncation doubles and every
-    level is solved again.
+    most 0.7 eps |value|.  Every level must be enclosed with its bound below tol.
 
     Raises:
         ValueError: if level_count < 1, if tol is not finite and positive,
-            or if tol is below 8 eps max(1, mu_top + |Delta|/2), the
-            spacing double precision resolves at the top requested level.
-        ConvergenceError: if, before every level is accepted, the next
-            truncation would exceed the module caps ``MAX_CHAIN_DIM`` sites
-            or ``MAX_CHAIN_WORK`` sites x levels; both are checked before
-            each chain is built.
+            or if tol is below the floor
+            8 eps max(1, mu_top + |Delta|/2, |Delta| - mu_0), which exceeds
+            the rounding allowance of any value in the Weyl brackets by a
+            fifth at least, so the bound can meet every admitted tol.
+        ConvergenceError: if the truncation exceeds the module caps
+            ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x levels,
+            checked before the chain is built, or if a level is not enclosed
+            with its bound below tol at that truncation.
     """
     if level_count < 1:
         raise ValueError("level_count must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    n_dim = _first_truncation(params, chain, level_count)
     spread = abs(params.delta) / 2.0
     mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
-    floor = 8.0 * _EPS * max(1.0, float(mu[-1]) + spread)
+    floor = 8.0 * _EPS * max(1.0, float(mu[-1]) + spread, 2.0 * spread - float(mu[0]))
     if tol < floor:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {floor:.3e}")
+    n_dim = _first_truncation(params, chain, level_count)
+    if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
+        raise ConvergenceError(
+            f"{level_count} levels need chain dimension {n_dim}"
+            f" ({n_dim * level_count} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
+            f" or {MAX_CHAIN_WORK} sites x levels"
+        )
+    full = build_chain(params, chain, n_dim + 1)
+    t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
+    lo, hi = _weyl_brackets(t, mu, spread + tol)
     # Bisect well below tol so the half-width leaves room for the rounding allowance.
-    bisect_tol = tol / 16.0
-    idx = np.arange(level_count)
-    ceiling = np.full(level_count, np.inf)
-    while True:
-        if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
-            raise ConvergenceError(
-                f"{level_count} levels need chain dimension {n_dim}"
-                f" ({n_dim * level_count} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
-                f" or {MAX_CHAIN_WORK} sites x levels"
-            )
-        full = build_chain(params, chain, n_dim + 1)
-        t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-        lo, hi = _weyl_brackets(t, mu, spread + tol, ceiling)
-        lo, hi = _bisect(t, lo, hi, bisect_tol)
-        values = 0.5 * (lo + hi)
-        bounds = 0.5 * (hi - lo) + 4.0 * _EPS * np.maximum(1.0, np.abs(values) + spread)
-        lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
-        n0 = 2 * n_dim + chain.parity.offset
-        tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread
-        tail_floor -= 4.0 * _EPS * max(1.0, abs(tail_floor) + spread)
-        enclosed = (lo < tail_floor) & (_sturm_counts(lowered, lo) <= idx)
-        if np.all(enclosed & (bounds < tol)):
-            return Spectrum(
-                values=np.sort(values),
-                truncation_dim=n_dim,
-                tol=tol,
-                bounds=bounds,
-                path="a_posteriori",
-            )
-        # Cauchy interlacing: no level rises when the truncation grows.
-        ceiling, n_dim = hi, 2 * n_dim
+    lo, hi = _bisect(t, lo, hi, tol / 16.0)
+    values = 0.5 * (lo + hi)
+    bounds = 0.5 * (hi - lo) + 4.0 * _EPS * np.maximum(1.0, np.abs(values) + spread)
+    lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
+    n0 = 2 * n_dim + chain.parity.offset
+    tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread
+    tail_floor -= 4.0 * _EPS * max(1.0, abs(tail_floor) + spread)
+    enclosed = (lo < tail_floor) & (_sturm_counts(lowered, lo) <= np.arange(level_count))
+    certified = enclosed & (bounds < tol)
+    if not certified.all():
+        k = int(np.argmin(certified))
+        raise ConvergenceError(f"level {k} not enclosed to tol={tol!r} at chain dimension {n_dim}")
+    return Spectrum(
+        values=np.sort(values), truncation_dim=n_dim, tol=tol, bounds=bounds, path="a_posteriori"
+    )

@@ -134,16 +134,21 @@ def _recur(a: list[float], b: list[float], c: list[float]) -> np.ndarray:
 
     Returns x_0..x_len(a), scaled by the largest |x_i|; the prefix is scaled
     down whenever an entry passes 1e150, so growing solutions never overflow.
+    A step that overflows even so (|a_i| above about 1e158, at tiny g) is
+    redone after the prefix is scaled to max(|x_i-1|, |x_i|) = 1.
     """
     x = np.empty(len(a) + 1)
     x[0] = cur = 1.0
     prev = 0.0
     for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
-        prev, cur = cur, (ai * cur - bi * prev) / ci
-        if abs(cur) > _HUGE:
-            x[: i + 1] /= _HUGE
-            prev /= _HUGE
-            cur /= _HUGE
+        step = (ai * cur - bi * prev) / ci
+        if not abs(step) <= _HUGE:
+            overflow = not math.isfinite(step)
+            scale = max(abs(prev), abs(cur)) if overflow else _HUGE
+            x[: i + 1] /= scale
+            prev, cur = prev / scale, cur / scale
+            step = (ai * cur - bi * prev) / ci if overflow else step / scale
+        prev, cur = cur, step
         x[i + 1] = cur
     return x / np.max(np.abs(x))
 

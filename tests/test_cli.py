@@ -147,6 +147,20 @@ class TestSpectrum:
         assert code == 2
         assert "floor" in err and "Traceback" not in err
 
+    def test_tol_below_large_delta_floor_exit_2_fast(self, tmp_path, capsys):
+        # The floor 8 eps (|Delta| - mu_0), about 5.3e-13 here, rejects a tol
+        # that the bound could never meet at any truncation.
+        start = time.monotonic()
+        code = run_cli(
+            ["spectrum", "--g", "0.2", "--delta", "-300", "--levels", "1", "--tol", "2.67e-13"],
+            tmp_path,
+        )
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "floor 5.33" in err and "Traceback" not in err
+        assert elapsed < 2.0
+
 
 class TestResiduals:
     def test_zero_delta_and_column_arithmetic(self, tmp_path, capsys):
@@ -237,6 +251,20 @@ class TestVerify:
     def test_domain_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--g", "0.0"], tmp_path) == 2
         assert "(0, 1/2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", ["5e-324", "2.7e-309", "5.5e-309"])
+    def test_tiny_coupling_exit_2(self, tmp_path, capsys, g):
+        assert run_cli(["verify", "--g", g], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "--g" in err and "5.6e-309" in err, err
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_coupling_rows_pass(self, tmp_path, capsys):
+        # Single recurrence steps overflow here and are redone after a rescale.
+        run_cli(["verify", "--g", "1e-300", "--suite", "perturb"], tmp_path)
+        out = capsys.readouterr().out
+        assert re.search(r"^row_sum_identity: \S+ < \S+ PASS$", out, re.M), out
+        assert re.search(r"^v_tilde_row_vs_closed_form: \S+ < \S+ PASS$", out, re.M), out
 
     def test_dim_guard(self, tmp_path, capsys):
         assert run_cli(["verify", "--dim", "1024"], tmp_path) == 2

@@ -193,6 +193,19 @@ def sweep_counter(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built_chains(monkeypatch):
+    """Sizes of the chains ``converged_levels`` builds after the fixture is set up."""
+    sizes = []
+
+    def counting(params, chain, n_dim):
+        sizes.append(n_dim)
+        return build_chain(params, chain, n_dim)
+
+    monkeypatch.setattr(eigensolve, "build_chain", counting)
+    return sizes
+
+
 class TestMultisection:
     @pytest.mark.parametrize("g", [0.06, 0.2, 0.43, 0.485])
     def test_small_spectrum_takes_ten_sweeps(self, sweep_counter, g):
@@ -353,16 +366,6 @@ class TestConvergedLevels:
         with pytest.raises(ConvergenceError):
             converged_levels(p, chain, 40, 1e-8)
 
-    def test_work_budget_checked_after_doubling(self, monkeypatch):
-        # A 50-site start at g 0.43 must double; the budget lets only the
-        # first truncation through.
-        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 50)
-        monkeypatch.setattr(eigensolve, "MAX_CHAIN_WORK", 50 * 50)
-        with pytest.raises(ConvergenceError, match="sites x levels"):
-            converged_levels(
-                derive_params(0.43, 0.0), ChainSelector(Branch.PLUS, Parity.EVEN), 50, 1e-10
-            )
-
     def test_level_count_guard(self):
         with pytest.raises(ValueError):
             converged_levels(
@@ -391,12 +394,39 @@ class TestConvergedLevels:
                 derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 50, tol
             )
 
-    def test_tol_at_floor_certifies(self):
-        p = derive_params(0.2, 1.0)
-        mu_top = p.omega * (2 * 49 + 0.5) - 0.5
-        floor = 8 * np.finfo(float).eps * (mu_top + 0.5)
-        s = converged_levels(p, ChainSelector(Branch.PLUS, Parity.EVEN), 50, floor)
+    # The floor 8 eps max(1, mu_top + |Delta|/2, |Delta| - mu_0): at Delta -300
+    # and one level the last term sets it; without it the floor, about
+    # 2.66e-13, is below the rounding allowance of the level near -150.
+    @pytest.mark.parametrize("delta", [1.0, 300.0, -300.0])
+    @pytest.mark.parametrize("levels", [1, 50])
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_tol_at_floor_certifies(self, built_chains, delta, levels, parity):
+        p = derive_params(0.2, delta)
+        chain = ChainSelector(Branch.PLUS, parity)
+        mu = p.omega * (2 * np.arange(levels) + parity.offset + 0.5) - 0.5
+        spread = abs(delta) / 2
+        floor = 8 * np.finfo(float).eps * max(1.0, mu[-1] + spread, 2 * spread - mu[0])
+        with pytest.raises(ValueError, match="floor"):
+            converged_levels(p, chain, levels, np.nextafter(floor, 0.0))
+        s = converged_levels(p, chain, levels, floor)
         assert float(np.max(s.bounds)) < floor
+        assert len(built_chains) == 1 and s.truncation_dim == _first_truncation(p, chain, levels)
+
+    @pytest.mark.parametrize(
+        "g,delta,levels,tol",
+        [(0.2, 1.0, 40, 1e-8), (0.49, -6.0, 20, 1e-12), (0.43, 0.0, 50, 1e-10)],
+    )
+    def test_one_chain_per_call(self, built_chains, monkeypatch, g, delta, levels, tol):
+        p = derive_params(g, delta)
+        chain = ChainSelector(Branch.PLUS, Parity.ODD)
+        s = converged_levels(p, chain, levels, tol)
+        assert len(built_chains) == 1
+        assert built_chains[0] == s.truncation_dim + 1 == _first_truncation(p, chain, levels) + 1
+        # A forced short start raises instead of building a second chain.
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 64)
+        with pytest.raises(ConvergenceError, match="chain dimension 64"):
+            converged_levels(p, chain, levels, tol)
+        assert len(built_chains) == 2
 
 
 def exact_zero_delta_errors(s, g, parity):
@@ -418,21 +448,19 @@ class TestCertificate:
         assert np.all(exact_zero_delta_errors(s, g, parity) <= s.bounds)
         assert np.all(s.bounds < 1e-10)
 
-    # Started at 50 sites, g 0.43 doubles to 200 (the tail floor lies below
-    # the top levels at 50 and 100), where the floor clears the top level but
-    # the truncation still ends short of the top eigenvectors' turning
-    # points, so only the Sturm count of the lowered truncation rejects it.
-    # The turning-point start never cuts a chain that short, so the count is
-    # exercised from a forced start.  (From 64 the doubling lands on 256,
-    # already past the turning region.)
+    # At 200 sites and g 0.43 the tail floor clears all 50 levels, and every
+    # bound is below tol, but the truncation ends short of the top
+    # eigenvectors' turning points, so only the Sturm count of the lowered
+    # truncation rejects it (13 levels).  The turning-point start (281 and
+    # 284 sites here) never cuts a chain that short, so the count is
+    # exercised from a forced start.
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
     def test_short_start_rejected_by_lowered_count(self, monkeypatch, parity):
-        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 50)
-        s = converged_levels(
-            derive_params(0.43, 0.0), ChainSelector(Branch.PLUS, parity), 50, 1e-10
-        )
-        assert s.truncation_dim > 200
-        assert np.all(exact_zero_delta_errors(s, 0.43, parity) <= s.bounds)
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 200)
+        with pytest.raises(ConvergenceError, match="not enclosed .* chain dimension 200"):
+            converged_levels(
+                derive_params(0.43, 0.0), ChainSelector(Branch.PLUS, parity), 50, 1e-10
+            )
 
     # Delta 6 and 20 exceed twice the level spacing 2 omega, so the Weyl
     # brackets of neighbouring levels overlap; the enclosure needs no
@@ -476,8 +504,8 @@ class TestCertificate:
         assert float(np.linalg.eigvalsh(block.to_dense())[0]) >= floor
 
     def test_strong_coupling_certifies_at_larger_truncation(self):
-        # At g = 0.49 the first truncation's tail floor lies below the top
-        # levels, so the truncation doubles until the enclosure holds.
+        # At g = 0.49 the turning point of the top level moves out, and the
+        # one truncation lies far beyond the 64-site minimum.
         s = converged_levels(
             derive_params(0.49, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 10, 1e-8
         )
@@ -497,8 +525,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("g", [0.01, 0.2, 0.35, 0.43, 0.49])
     def test_first_truncation_needs_no_doubling(self, g):
-        # Work, not time: the certificate must come from the first
-        # truncation, with no doubling.  tol is raised to the floor where needed.
+        # Work, not time: the one truncation must certify every case, raising
+        # no ConvergenceError.  tol is raised to the floor where needed.
         eps = np.finfo(float).eps
         for delta, levels, tol, parity in itertools.product(
             [0.0, -6.0, 1.0],
@@ -508,8 +536,9 @@ class TestCertificate:
         ):
             p = derive_params(g, delta)
             chain = ChainSelector(Branch.PLUS, parity)
-            mu_top = p.omega * (2 * (levels - 1) + parity.offset + 0.5) - 0.5
-            tol = max(tol, 8 * eps * max(1.0, mu_top + abs(delta) / 2))
+            mu = p.omega * (2 * np.arange(levels) + parity.offset + 0.5) - 0.5
+            spread = abs(delta) / 2
+            tol = max(tol, 8 * eps * max(1.0, mu[-1] + spread, 2 * spread - mu[0]))
             first = _first_truncation(p, chain, levels)
             s = converged_levels(p, chain, levels, tol)
             assert s.truncation_dim == first, (g, delta, levels, tol, parity)

@@ -165,6 +165,19 @@ class TestRowRecurrence:
         assert np.all(np.isfinite(vals))
         assert float(np.sum(vals**2)) == pytest.approx(params.delta**2 / 4.0, abs=1e-12)
 
+    # At tiny g one step of the recurrence multiplies t_j ~ n/(2g) by an
+    # entry up to the 1e150 rescale threshold and can overflow; it is redone.
+    @pytest.mark.parametrize("g", [1e-154, 1e-200, 1e-300])
+    @pytest.mark.parametrize("n", [4, 25, 100, 2001])
+    def test_tiny_coupling_rows_finite(self, g, n):
+        params = derive_params(g, 1.0)
+        ks, vals = v_tilde_row(params, n, n + 2000)
+        assert np.all(np.isfinite(vals))
+        assert float(np.sum(vals**2)) == params.delta**2 / 4.0
+        if n <= 100:  # the scalar route takes seconds per entry at n = 2001
+            for i in np.flatnonzero(vals):
+                assert vals[i] == pytest.approx(v_tilde(int(ks[i]), n, params), rel=1e-10)
+
     def test_work_budget(self):
         # Near g = 1/2 the squeezed column spreads past the chain budget.
         with pytest.raises(ValueError, match="budget"):
