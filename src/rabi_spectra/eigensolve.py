@@ -12,12 +12,14 @@ an oracle for the other:
 
 Levels of the infinite Fock chains are certified from one truncation when
 possible: the chain is cut a decay margin past the turning point of the top
-level, each level is narrowed from its Weyl bracket around the exactly
-solvable Delta = 0 spectrum, and its bracket is shown to enclose the level of
-the infinite chain by min-max from above and, from below, by one Sturm count
-of the truncation with its last diagonal lowered by the dropped coupling
-(a rank-one split whose tail lies above a closed-form floor).  One chain is
-built per certificate, after a work budget of sites x levels is checked.
+level, and each level is narrowed from its Weyl bracket around the exactly
+solvable Delta = 0 spectrum, with no sweep to check the bracket.  Its final
+bracket encloses the level of the infinite chain from above by Weyl's
+inequality or min-max and, from below, by one Sturm count of the truncation
+with its last diagonal lowered by the dropped coupling (a rank-one split
+whose tail lies above a closed-form floor), each up to one rounding
+allowance from the backward error of the Sturm count.  One chain is built
+per certificate, after a work budget of sites x levels is checked.
 """
 
 from __future__ import annotations
@@ -168,14 +170,17 @@ def _bisect(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink brackets of the lowest ``lo.size`` eigenvalues to width <= tol by multisection.
 
-    Bracket k must satisfy count(lo_k) <= k < count(hi_k), so it holds the
-    k-th eigenvalue.  Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // k)
+    Bracket k holds the k-th eigenvalue if count(lo_k) <= k < count(hi_k).
+    Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // k)
     equally spaced interior points of every bracket at once (Simon, "Bisection
     is not optimal on vector processors", 1989) and cuts the bracket to the
     sub-interval where the count crosses k, a factor pts + 1 narrower; with
     pts = 1 this is bisection at the midpoints.  The new lo is the last point
-    of the leading run of points whose count is <= k, so the invariant holds
-    even where rounding makes the counts non-monotone.  The number of sweeps
+    of the leading run of points whose count is <= k, and the new hi the
+    point after it, so each end either stays at its start or moves to a point
+    whose count is on its side of k: the invariant holds even where rounding
+    makes the counts non-monotone, and a start end on the wrong side of k is
+    kept while the other end closes in on it.  The number of sweeps
     is bounded in advance, since a tol below one ulp of the level is never met.
     """
     k = lo.size
@@ -251,24 +256,6 @@ def eigenvalues_dense(a: np.ndarray) -> Spectrum:
     return Spectrum(values=values, truncation_dim=n, tol=n * _EPS * scale)
 
 
-def _weyl_brackets(
-    t: SymTriMatrix, centres: np.ndarray, half: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start brackets centre_k -+ half, checked by one Sturm sweep.
-
-    An end whose count is wrong widens to the Gershgorin interval: the top
-    fails when truncation lifts the level above its Weyl bracket, the bottom
-    only through rounding.
-    """
-    k = centres.size
-    idx = np.arange(k)
-    lo = centres - half
-    hi = centres + half
-    counts = _sturm_counts(t, np.concatenate([lo, hi]))
-    bottom, top = _gershgorin(t)
-    return np.where(counts[:k] <= idx, lo, bottom), np.where(counts[k:] > idx, hi, top)
-
-
 def _first_truncation(params: ModelParams, chain: ChainSelector, level_count: int) -> int:
     """First truncation of :func:`converged_levels`: a margin past the top level's turning point.
 
@@ -297,30 +284,39 @@ def converged_levels(
     the tail floor F below clears the top level (``_first_truncation``).  The
     Delta = 0 chain has the exact levels mu_k = omega (2k + p + 1/2) - 1/2 and
     the perturbation has norm |Delta|/2, so by Weyl's inequality level k lies
-    in mu_k -+ |Delta|/2; multisection of T_N starts there and ends with
-    brackets [lo_k, hi_k].  Each bracket encloses eigenvalue k of the
-    infinite chain H:
+    in mu_k -+ |Delta|/2.  Multisection of T_N starts, unchecked, from
+    mu_k -+ (|Delta|/2 + tol) and ends with brackets [lo_k, hi_k], each of
+    which encloses eigenvalue k of the infinite chain H up to the rounding
+    allowance a below:
 
-    * upper end: lambda_k(H) <= theta_k(T_N) < hi_k by min-max;
+    * upper end: ``_bisect`` leaves hi_k at its start, where Weyl's
+      inequality gives lambda_k(H) <= mu_k + |Delta|/2 < hi_k (tol is far
+      above the rounding of mu_k), or moves it to a point whose count of T_N
+      is above k, where min-max gives lambda_k(H) <= theta_k(T_N) < hi_k + a;
     * lower end: with b = b_N-1 the coupling to the first dropped site,
       H - b (e_N-1 + e_N)(e_N-1 + e_N)^T splits into T' (T_N with its last
       diagonal lowered by b) and the dropped tail with its first diagonal
       lowered by b.  Each tail row at Fock index n has diagonal minus
       off-diagonals at least n (1 - 2g) - g - |Delta|/2, so the tail lies
       above F = n0 (1 - 2g) - g - |Delta|/2 with n0 = 2N + p.  If T' has at
-      most k eigenvalues below lo_k < F, min-max gives lambda_k(H) >= lo_k.
+      most k eigenvalues below lo_k < F, min-max gives lambda_k(H) >= lo_k - a
+      (Parlett, The Symmetric Eigenvalue Problem, ch. 10).
 
-    ``bounds`` is the bracket half-width plus a rounding allowance of
-    4 eps max(1, |value| + |Delta|/2) for the Sturm counts, by which F is
-    widened too; against 40-digit Delta = 0 levels the rounding measured at
-    most 0.7 eps |value|.  Every level must be enclosed with its bound below tol.
+    A bracket collapses onto a wrong start end, so the count of T' or the
+    bound rejects its level: ConvergenceError, never a wrong certificate.
+    A computed Sturm count is the exact count of T + E with |E_ii| <= eps
+    |d_i - x| and off-diagonals off by at most 2.5 eps relative (Kahan 1966;
+    Demmel, Applied Numerical Linear Algebra, sec. 5.3), so
+    ||E|| <= a = 4 eps max(1, |Gershgorin ends of the N + 1-site chain|) for
+    shifts inside those ends, which hold T_N, T' and F.  ``bounds`` is the
+    bracket half-width plus a, and F is lowered by a.  Every level must be
+    enclosed with its bound below tol.
 
     Raises:
         ValueError: if level_count < 1, if tol is not finite and positive,
-            or if tol is below the floor
-            8 eps max(1, mu_top + |Delta|/2, |Delta| - mu_0), which exceeds
-            the rounding allowance of any value in the Weyl brackets by a
-            fifth at least, so the bound can meet every admitted tol.
+            or if tol is below the floor 2a, checked once the chain is built
+            and before any Sturm sweep; bisection to tol/16 keeps the
+            half-width below a, so the bound can meet every admitted tol.
         ConvergenceError: if the truncation exceeds the module caps
             ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x levels,
             checked before the chain is built, or if a level is not enclosed
@@ -330,11 +326,6 @@ def converged_levels(
         raise ValueError("level_count must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    spread = abs(params.delta) / 2.0
-    mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
-    floor = 8.0 * _EPS * max(1.0, float(mu[-1]) + spread, 2.0 * spread - float(mu[0]))
-    if tol < floor:
-        raise ValueError(f"tol={tol!r} is below the double-precision floor {floor:.3e}")
     n_dim = _first_truncation(params, chain, level_count)
     if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
         raise ConvergenceError(
@@ -343,16 +334,20 @@ def converged_levels(
             f" or {MAX_CHAIN_WORK} sites x levels"
         )
     full = build_chain(params, chain, n_dim + 1)
+    bottom, top = _gershgorin(full)
+    allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))
+    if tol < 2.0 * allowance:
+        raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")
+    spread = abs(params.delta) / 2.0
+    mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
     t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-    lo, hi = _weyl_brackets(t, mu, spread + tol)
     # Bisect well below tol so the half-width leaves room for the rounding allowance.
-    lo, hi = _bisect(t, lo, hi, tol / 16.0)
+    lo, hi = _bisect(t, mu - (spread + tol), mu + (spread + tol), tol / 16.0)
     values = 0.5 * (lo + hi)
-    bounds = 0.5 * (hi - lo) + 4.0 * _EPS * np.maximum(1.0, np.abs(values) + spread)
+    bounds = 0.5 * (hi - lo) + allowance
     lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
     n0 = 2 * n_dim + chain.parity.offset
-    tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread
-    tail_floor -= 4.0 * _EPS * max(1.0, abs(tail_floor) + spread)
+    tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread - allowance
     enclosed = (lo < tail_floor) & (_sturm_counts(lowered, lo) <= np.arange(level_count))
     certified = enclosed & (bounds < tol)
     if not certified.all():

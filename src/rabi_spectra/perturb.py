@@ -172,7 +172,8 @@ def _squeezed_column(g: float, n: int) -> np.ndarray:
     r + 1/r = (1+2g)^2/(4g) (the large-k chain ratio there).  K is placed
     370 decades further, so every entry above double underflow carries a
     start error below 1e-40, and K depends on n alone: rows of any cutoff
-    are prefixes of one column.
+    are prefixes of one column.  A t_j that overflows (g below about
+    |n - k| x 2.8e-309) raises ValueError.
     """
     p = n % 2
     turn = n * (1.0 + 2.0 * g) / (2.0 * (1.0 - 2.0 * g))
@@ -185,7 +186,11 @@ def _squeezed_column(g: float, n: int) -> np.ndarray:
             f"{MAX_ELEMENT_INDEX}"
         )
     fock = 2.0 * np.arange(top + 1) + p
-    t = ((n - fock) * (0.5 / g + 2.0 * g) - 4.0 * g * (n + 0.5)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (n - fock) * (0.5 / g + 2.0 * g) - 4.0 * g * (n + 0.5)
+    if not np.isfinite(t).all():
+        raise ValueError(f"column {n} at g={g!r} overflows: its chain entries t_j ~ (n - k)/(2g)")
+    t = t.tolist()
     s = np.sqrt((fock + 1.0) * (fock + 2.0)).tolist()
     m = n // 2
     fwd = _recur(t[: m + 1], [0.0] + s[:m], s[: m + 1])

@@ -148,8 +148,9 @@ class TestSpectrum:
         assert "floor" in err and "Traceback" not in err
 
     def test_tol_below_large_delta_floor_exit_2_fast(self, tmp_path, capsys):
-        # The floor 8 eps (|Delta| - mu_0), about 5.3e-13 here, rejects a tol
-        # that the bound could never meet at any truncation.
+        # The floor 8 eps max(1, |Gershgorin ends|) of the chain, about 1.1e-12
+        # here (its top end is near 640), rejects a tol that the bound could
+        # not be shown to meet.
         start = time.monotonic()
         code = run_cli(
             ["spectrum", "--g", "0.2", "--delta", "-300", "--levels", "1", "--tol", "2.67e-13"],
@@ -158,7 +159,7 @@ class TestSpectrum:
         elapsed = time.monotonic() - start
         err = capsys.readouterr().err
         assert code == 2, err
-        assert "floor 5.33" in err and "Traceback" not in err
+        assert "floor 1.137e-12" in err and "Traceback" not in err
         assert elapsed < 2.0
 
 
@@ -252,11 +253,12 @@ class TestVerify:
         assert run_cli(["verify", "--g", "0.0"], tmp_path) == 2
         assert "(0, 1/2)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("g", ["5e-324", "2.7e-309", "5.5e-309"])
+    # Below 17/max (about 9.5e-308) the V~ rows of the perturb suite overflow.
+    @pytest.mark.parametrize("g", ["5e-324", "2.7e-309", "5.5e-309", "5.6e-309", "9.45e-308"])
     def test_tiny_coupling_exit_2(self, tmp_path, capsys, g):
         assert run_cli(["verify", "--g", g], tmp_path) == 2
         err = capsys.readouterr().err
-        assert "--g" in err and "5.6e-309" in err, err
+        assert "--g" in err and "9.5e-308" in err, err
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_coupling_rows_pass(self, tmp_path, capsys):

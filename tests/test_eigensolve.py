@@ -206,13 +206,32 @@ def built_chains(monkeypatch):
     return sizes
 
 
+def cert_floor(p, chain, levels):
+    """tol floor of ``converged_levels``: 8 eps max(1, |Gershgorin ends|) of its chain."""
+    full = build_chain(p, chain, _first_truncation(p, chain, levels) + 1)
+    return 8 * np.finfo(float).eps * max(1.0, *np.abs(_gershgorin(full)))
+
+
 class TestMultisection:
     @pytest.mark.parametrize("g", [0.06, 0.2, 0.43, 0.485])
     def test_small_spectrum_takes_ten_sweeps(self, sweep_counter, g):
-        # Weyl check + multisection + lowered count; plain bisection took 40.
+        # Multisection from the unchecked Weyl brackets + lowered count: no
+        # sweep checks the start brackets.  Plain bisection took 40.
         s = converged_levels(derive_params(g, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 20, 1e-10)
         assert s.path == "a_posteriori"
-        assert sweep_counter[0] <= 10
+        assert sweep_counter[0] <= 9
+
+    def test_forced_short_start_sweeps(self, monkeypatch, sweep_counter):
+        # At 64 sites the truncation lifts levels 14-19 above their Weyl
+        # brackets.  Their brackets collapse onto the start tops, which are
+        # kept, not widened to the Gershgorin interval, so the rejection
+        # costs no more sweeps than a certificate.
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 64)
+        with pytest.raises(ConvergenceError, match="chain dimension 64"):
+            converged_levels(
+                derive_params(0.49, -6.0), ChainSelector(Branch.PLUS, Parity.ODD), 20, 1e-12
+            )
+        assert sweep_counter[0] <= 11
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_many_brackets_are_bisected(self, sweep_counter, extra):
@@ -388,26 +407,27 @@ class TestConvergedLevels:
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-15, 0.0, -1e-8, math.nan, math.inf])
     def test_tol_floor_and_finiteness(self, tol):
-        # 50 levels at g = 0.2 put the floor at 8 eps (mu_49 + 1/2), about 1.6e-13.
+        # 50 levels at g = 0.2 put the floor, 8 eps times the chain's Gershgorin top
+        # end, at about 5.7e-13.
         with pytest.raises(ValueError):
             converged_levels(
                 derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 50, tol
             )
 
-    # The floor 8 eps max(1, mu_top + |Delta|/2, |Delta| - mu_0): at Delta -300
-    # and one level the last term sets it; without it the floor, about
-    # 2.66e-13, is below the rounding allowance of the level near -150.
+    # The floor is twice the Sturm-count allowance 4 eps max(1, |Gershgorin
+    # ends|) of the chain, whose top end grows with the truncation, and so
+    # with |Delta|.  A rejected tol is caught before any Sturm sweep.
     @pytest.mark.parametrize("delta", [1.0, 300.0, -300.0])
     @pytest.mark.parametrize("levels", [1, 50])
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
-    def test_tol_at_floor_certifies(self, built_chains, delta, levels, parity):
+    def test_tol_at_floor_certifies(self, built_chains, sweep_counter, delta, levels, parity):
         p = derive_params(0.2, delta)
         chain = ChainSelector(Branch.PLUS, parity)
-        mu = p.omega * (2 * np.arange(levels) + parity.offset + 0.5) - 0.5
-        spread = abs(delta) / 2
-        floor = 8 * np.finfo(float).eps * max(1.0, mu[-1] + spread, 2 * spread - mu[0])
+        floor = cert_floor(p, chain, levels)
         with pytest.raises(ValueError, match="floor"):
             converged_levels(p, chain, levels, np.nextafter(floor, 0.0))
+        assert sweep_counter[0] == 0
+        built_chains.clear()
         s = converged_levels(p, chain, levels, floor)
         assert float(np.max(s.bounds)) < floor
         assert len(built_chains) == 1 and s.truncation_dim == _first_truncation(p, chain, levels)
@@ -419,6 +439,8 @@ class TestConvergedLevels:
     def test_one_chain_per_call(self, built_chains, monkeypatch, g, delta, levels, tol):
         p = derive_params(g, delta)
         chain = ChainSelector(Branch.PLUS, Parity.ODD)
+        # At g 0.49 and Delta -6 the floor, about 3.5e-12, is above 1e-12.
+        tol = max(tol, cert_floor(p, chain, levels))
         s = converged_levels(p, chain, levels, tol)
         assert len(built_chains) == 1
         assert built_chains[0] == s.truncation_dim + 1 == _first_truncation(p, chain, levels) + 1
@@ -447,6 +469,24 @@ class TestCertificate:
         assert s.path == "a_posteriori"
         assert np.all(exact_zero_delta_errors(s, g, parity) <= s.bounds)
         assert np.all(s.bounds < 1e-10)
+
+    # Near g = 1/2 the backward error of a Sturm count scales with the
+    # chain's entries, about 2N, not with the level: an allowance of
+    # 4 eps max(1, |value| + |Delta|/2) is up to 19.7 times too small at
+    # g 0.499.  Every admitted tol down to the floor must certify validly.
+    @pytest.mark.parametrize("g", [0.45, 0.49, 0.499])
+    @pytest.mark.parametrize("levels", [7, 50])
+    def test_bounds_valid_down_to_floor(self, g, levels):
+        p = derive_params(g, 0.0)
+        chain = ChainSelector(Branch.PLUS, Parity.ODD)
+        floor = cert_floor(p, chain, levels)
+        for tol in [1e-15, 3e-15, 1e-14, 3e-14, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11, floor]:
+            try:
+                s = converged_levels(p, chain, levels, tol)
+            except ValueError:
+                assert tol < floor
+                continue
+            assert np.all(exact_zero_delta_errors(s, g, Parity.ODD) <= s.bounds), tol
 
     # At 200 sites and g 0.43 the tail floor clears all 50 levels, and every
     # bound is below tol, but the truncation ends short of the top
@@ -527,7 +567,6 @@ class TestCertificate:
     def test_first_truncation_needs_no_doubling(self, g):
         # Work, not time: the one truncation must certify every case, raising
         # no ConvergenceError.  tol is raised to the floor where needed.
-        eps = np.finfo(float).eps
         for delta, levels, tol, parity in itertools.product(
             [0.0, -6.0, 1.0],
             [1, 20, 120],
@@ -536,9 +575,7 @@ class TestCertificate:
         ):
             p = derive_params(g, delta)
             chain = ChainSelector(Branch.PLUS, parity)
-            mu = p.omega * (2 * np.arange(levels) + parity.offset + 0.5) - 0.5
-            spread = abs(delta) / 2
-            tol = max(tol, 8 * eps * max(1.0, mu[-1] + spread, 2 * spread - mu[0]))
+            tol = max(tol, cert_floor(p, chain, levels))
             first = _first_truncation(p, chain, levels)
             s = converged_levels(p, chain, levels, tol)
             assert s.truncation_dim == first, (g, delta, levels, tol, parity)

@@ -1,6 +1,8 @@
 """Transformed perturbation matrix, correction sums, gap bound, three-term formula."""
 
 import math
+import re
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -177,6 +179,23 @@ class TestRowRecurrence:
         if n <= 100:  # the scalar route takes seconds per entry at n = 2001
             for i in np.flatnonzero(vals):
                 assert vals[i] == pytest.approx(v_tilde(int(ks[i]), n, params), rel=1e-10)
+
+    # Below about |n - k| x 2.8e-309 the chain entries t_j ~ (n - k)/(2g) of
+    # the column overflow; left unchecked, they made 30 entries of row 25 nan.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g", [5e-324, 5.6e-309, math.nextafter(17.0 / sys.float_info.max, 0.0)])
+    def test_overflowing_column_raises(self, g):
+        with pytest.raises(ValueError, match=re.escape(f"column 25 at g={g!r}")):
+            v_tilde_row(derive_params(g, 1.0), 25, 2000)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_finite_at_verify_gate(self):
+        # The smallest g that verify admits keeps its rows n <= 25 finite.
+        params = derive_params(17.0 / sys.float_info.max, 1.0)
+        for n in range(26):
+            _, vals = v_tilde_row(params, n, 2000)
+            assert np.all(np.isfinite(vals)), n
+            assert float(np.sum(vals**2)) == pytest.approx(0.25, rel=1e-12)
 
     def test_work_budget(self):
         # Near g = 1/2 the squeezed column spreads past the chain budget.
