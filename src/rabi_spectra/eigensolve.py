@@ -91,35 +91,6 @@ class Spectrum:
             raise ValueError(f"path must be one of {_PATHS}")
 
 
-def _gershgorin(t: SymTriMatrix) -> tuple[float, float]:
-    radius = np.zeros(t.n)
-    radius[:-1] += np.abs(t.off)
-    radius[1:] += np.abs(t.off)
-    return float(np.min(t.diag - radius)), float(np.max(t.diag + radius))
-
-
-def _pivmin(t: SymTriMatrix) -> float:
-    # Standard safeguard scale for Sturm pivots (LAPACK-style).
-    safmin = np.finfo(float).tiny
-    off_sq_max = float(np.max(t.off**2)) if t.off.size else 0.0
-    return safmin * max(1.0, off_sq_max)
-
-
-def _guarded_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
-    """Sturm counts with the pivot guard |q| >= pivmin, which keeps the sign
-    bit, so a zero pivot (an eigenvalue exactly at x) is not counted."""
-    pivmin = _pivmin(t)
-    off_sq = t.off**2
-    q = t.diag[0] - xs
-    q = np.where(np.abs(q) < pivmin, np.copysign(pivmin, q), q)
-    count = (q < 0).astype(np.int64)
-    for i in range(1, t.n):
-        q = t.diag[i] - xs - off_sq[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, np.copysign(pivmin, q), q)
-        count += q < 0
-    return count
-
-
 def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in ``xs``.
 
@@ -127,33 +98,31 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     ``_SWEEP_BLOCK`` sites at a time: each pivot overwrites d_i - x in the
     block buffer, and the sign bits of a block are summed at once.  A zero
     or tiny pivot makes the next one huge or infinite with the opposite sign
-    bit, so the pair still counts once, as the exact sequence does.  Only a
-    zero pivot next to a zero off-diagonal yields NaN; those shifts are
-    recounted with the guard.
+    bit, so the pair still counts once, as the exact sequence does.  Where
+    b_{i-1}^2 = 0 (i = 0, a zero coupling, or one whose square underflows)
+    the divide is skipped and the pivot restarts at d_i - x, so 0/0 never
+    occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.
     """
     xs = np.asarray(xs, dtype=float)
-    # b_{-1} = 0 and q_{-1} = inf make the first step q_0 = d_0 - x.
     off_sq = np.concatenate([[0.0], t.off**2])
-    q = np.full(xs.shape, np.inf)
+    q = np.empty(xs.shape)
     ratio = np.empty(xs.shape)
     pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size))
     count = np.zeros(xs.shape, dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, t.n, _SWEEP_BLOCK):
             block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
             np.subtract(t.diag[start : start + block.shape[0], None], xs, out=block)
             prev = q
             # Outputs go positionally: the out= keyword costs a parse per call.
             for b_sq, row in zip(off_sq[start:], block):
-                np.divide(b_sq, prev, ratio)
-                np.subtract(row, ratio, row)
+                if b_sq:
+                    np.divide(b_sq, prev, ratio)
+                    np.subtract(row, ratio, row)
                 prev = row
             count += np.signbit(block).sum(axis=0)
             # The next block overwrites the buffer, so its last pivot is copied out.
             np.copyto(q, prev)
-    broken = np.isnan(q)
-    if broken.any():
-        count[broken] = _guarded_counts(t, xs[broken])
     return count
 
 
@@ -161,7 +130,10 @@ def sturm_count(t: SymTriMatrix, x: float) -> int:
     """Count eigenvalues of ``t`` strictly less than ``x``.
 
     Monotone non-decreasing in x; an eigenvalue exactly at x is not counted.
+    A NaN shift raises ``ValueError``.
     """
+    if math.isnan(x):
+        raise ValueError("shift x must not be NaN")
     return int(_sturm_counts(t, np.asarray([x], dtype=float))[0])
 
 
@@ -212,8 +184,7 @@ def _bisect_lowest(t: SymTriMatrix, k: int, tol: float) -> np.ndarray:
     Level j starts in the cell of ``_SWEEP_SHIFTS`` points where the running
     maximum of their counts passes j, so count(lo) <= j < count(hi).
     """
-    lo_bound, hi_bound = _gershgorin(t)
-    grid = np.linspace(lo_bound, hi_bound, _SWEEP_SHIFTS + 2)
+    grid = np.linspace(*t.gershgorin(), _SWEEP_SHIFTS + 2)
     counts = np.maximum.accumulate(_sturm_counts(t, grid[1:-1]))
     start = np.searchsorted(counts, np.arange(k), side="right")
     lo, hi = _bisect(t, grid[start], grid[start + 1], tol)
@@ -334,7 +305,7 @@ def converged_levels(
             f" or {MAX_CHAIN_WORK} sites x levels"
         )
     full = build_chain(params, chain, n_dim + 1)
-    bottom, top = _gershgorin(full)
+    bottom, top = full.gershgorin()
     allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))
     if tol < 2.0 * allowance:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")

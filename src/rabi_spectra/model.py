@@ -120,7 +120,11 @@ def derive_params(g: float, delta: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class SymTriMatrix:
-    """Symmetric tridiagonal matrix stored as diagonal + off-diagonal arrays of finite entries."""
+    """Symmetric tridiagonal matrix stored as diagonal + off-diagonal arrays of finite entries.
+
+    Each b^2 and |lo| + |hi| (lo, hi the Gershgorin ends) must be finite too, so that
+    the Sturm sweeps meet finite b^2, d - x and lo + hi for every shift x in [lo, hi].
+    """
 
     diag: np.ndarray
     off: np.ndarray
@@ -134,12 +138,21 @@ class SymTriMatrix:
             raise ValueError("dimension must be at least 2")
         if self.off.size != self.diag.size - 1:
             raise ValueError("off-diagonal must have length N-1")
-        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
-            raise ValueError("entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = self.gershgorin()
+            if not (np.isfinite(self.off**2).all() and math.isfinite(abs(lo) + abs(hi))):
+                raise ValueError("entries, off-diagonal squares and Gershgorin ends must be finite")
 
     @property
     def n(self) -> int:
         return self.diag.size
+
+    def gershgorin(self) -> tuple[float, float]:
+        """Ends (lo, hi) of the Gershgorin interval, which holds every eigenvalue."""
+        radius = np.zeros(self.n)
+        radius[:-1] += np.abs(self.off)
+        radius[1:] += np.abs(self.off)
+        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)

@@ -94,6 +94,13 @@ def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
     return Fraction(*_exact_sum(n, s, Fraction(x)))
 
 
+def _signed_exp(sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs), overflowing to +-inf for log_abs > ~709."""
+    if sign == 0.0:
+        return 0.0
+    return sign * (math.inf if log_abs > 709.0 else math.exp(log_abs))
+
+
 @dataclass(frozen=True)
 class PolyValue:
     """Sign / log-magnitude decomposition of a polynomial value.
@@ -112,11 +119,7 @@ class PolyValue:
 
     @property
     def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        if self.log_abs > 709.0:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.log_abs)
+        return _signed_exp(self.sign, self.log_abs)
 
 
 def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float, float]:
@@ -309,11 +312,7 @@ class AsymValue:
 
     @property
     def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        if self.log_abs > 709.0:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.log_abs)
+        return _signed_exp(self.sign, self.log_abs)
 
     @property
     def envelope(self) -> float:

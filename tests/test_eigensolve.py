@@ -26,8 +26,6 @@ from rabi_spectra.eigensolve import (
     _SWEEP_SHIFTS,
     _bisect,
     _first_truncation,
-    _gershgorin,
-    _guarded_counts,
     _sturm_counts,
 )
 
@@ -49,6 +47,14 @@ class TestSturmCount:
         t = SymTriMatrix(diag=[0.0, 0.0], off=[1.0])
         assert sturm_count(t, 0.0) == 1
 
+    def test_nan_shift_raises(self):
+        # The sign bit of a NaN pivot would decide the count.
+        t = SymTriMatrix(diag=[1.0, 2.0, 3.0], off=[0.5, 0.5])
+        for x in (math.nan, -math.nan):
+            with pytest.raises(ValueError, match="NaN"):
+                sturm_count(t, x)
+        assert (sturm_count(t, -math.inf), sturm_count(t, math.inf)) == (0, 3)
+
     def test_counts_match_jacobi_oracle(self):
         rng = np.random.default_rng(1)
         t = random_chain(rng, 50)
@@ -69,20 +75,48 @@ class TestSturmCount:
     @pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 785])
     def test_fused_sweep_matches_guarded_counts(self, n):
         # Integer diagonals with some couplings cut to zero split the chain
-        # into blocks; a shift at a diagonal entry before a cut makes a zero
-        # pivot next to a zero off-diagonal (0/0 in the unguarded sweep).
+        # into blocks.  A shift at the diagonal entry of an isolated 1x1 block
+        # is an exact eigenvalue, not counted, and puts a zero pivot next to a
+        # zero coupling (0/0 unless the sweep skips the divide there).  The
+        # reference is LAPACK on each block, for shifts that are such exact
+        # hits or lie more than 1e-9 from every eigenvalue.
         rng = np.random.default_rng(3 + 1000 * n)
         diag = rng.integers(-3, 4, n).astype(float)
         off = rng.normal(0, 2, n - 1) * (rng.random(n - 1) < 0.7)
         t = SymTriMatrix(diag=diag, off=off)
-        # Shifts at the LAPACK eigenvalues fall within rounding of them.
-        dense = eigenvalues_dense(t.to_dense()).values if n <= 64 else np.array([])
-        xs = np.concatenate([rng.normal(0, 5, 200), np.arange(-3.0, 4.0), diag[:40], dense])
-        np.testing.assert_array_equal(_sturm_counts(t, xs), _guarded_counts(t, xs))
+        dense = t.to_dense()
+        edges = np.concatenate([[0], np.flatnonzero(off == 0) + 1, [n]])
+        blocks = list(zip(edges[:-1], edges[1:]))
+        vals = np.concatenate([eigenvalues_dense(dense[a:b, a:b]).values for a, b in blocks])
+        single = np.concatenate([np.full(b - a, b - a == 1) for a, b in blocks])
+        xs = np.concatenate([rng.normal(0, 5, 200), np.arange(-3.0, 4.0), diag[:40]])
+        dist = np.abs(np.subtract.outer(vals, xs))
+        kept = np.all((dist > 1e-9) | ((dist == 0) & single[:, None]), axis=0)
+        expected = np.sum(vals[:, None] < xs[kept], axis=0)
+        np.testing.assert_array_equal(_sturm_counts(t, xs[kept]), expected)
+        # Every size but 2 has isolated blocks, and some exact hits are kept.
+        assert n == 2 or (dist[:, kept] == 0).any()
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [
+            # 1e-170 is nonzero, but its square underflows to 0.
+            (np.arange(40.0) % 7, np.full(39, 1e-170)),
+            (np.random.default_rng(14).integers(-5, 6, 2000).astype(float), np.zeros(1999)),
+        ],
+        ids=["underflowing-couplings", "diagonal-2000"],
+    )
+    def test_zero_squared_couplings_split_the_sweep(self, diag, off):
+        # Where b^2 is 0 the pivot restarts at d_i - x; shifts at the diagonal
+        # entries would meet 0/0 otherwise.
+        t = SymTriMatrix(diag=diag, off=off)
+        xs = np.concatenate([diag, diag + 0.5])
+        np.testing.assert_array_equal(_sturm_counts(t, xs), np.sum(diag[:, None] < xs, axis=0))
 
     def test_exact_hit_on_reduced_matrix(self):
-        # Shifts at diagonal entries of a split matrix make the unguarded
-        # sweep meet 0/0; those shifts are recounted with the pivot guard.
+        # Shifts at diagonal entries of a split matrix put a zero pivot next
+        # to a zero coupling; the sweep skips the divide there and restarts
+        # the pivot at d_i - x.
         t = SymTriMatrix(diag=[1.0, 2.0, 3.0, 4.0], off=[0.0, 0.5, 0.0])
         oracle = eigenvalues_dense(t.to_dense()).values
         for x in [0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 10.0]:
@@ -209,7 +243,7 @@ def built_chains(monkeypatch):
 def cert_floor(p, chain, levels):
     """tol floor of ``converged_levels``: 8 eps max(1, |Gershgorin ends|) of its chain."""
     full = build_chain(p, chain, _first_truncation(p, chain, levels) + 1)
-    return 8 * np.finfo(float).eps * max(1.0, *np.abs(_gershgorin(full)))
+    return 8 * np.finfo(float).eps * max(1.0, *np.abs(full.gershgorin()))
 
 
 class TestMultisection:
@@ -239,7 +273,7 @@ class TestMultisection:
         # the same sweeps and brackets as plain bisection.
         n = _SWEEP_SHIFTS + extra
         t = random_chain(np.random.default_rng(7 + 1000 * extra), n)
-        bottom, top = _gershgorin(t)
+        bottom, top = t.gershgorin()
         lo, hi = np.full(n, bottom), np.full(n, top)
         got_lo, got_hi = _bisect(t, lo, hi, 1e-9)
         sweeps = sweep_counter[0]
@@ -259,7 +293,7 @@ class TestMultisection:
             off = rng.normal(0, 2, n - 1) * (rng.random(n - 1) < 0.7)
             t = SymTriMatrix(diag=diag, off=off)
             k = int(rng.integers(1, n + 1))
-            bottom, top = _gershgorin(t)
+            bottom, top = t.gershgorin()
             lo, hi = _bisect(t, np.full(k, bottom), np.full(k, top), tol)
             idx = np.arange(k)
             assert np.all(_sturm_counts(t, lo) <= idx)
@@ -291,7 +325,7 @@ class TestMultisection:
     def test_tol_below_ulp_stops_at_sweep_bound(self, sweep_counter):
         # No bracket can reach width 1e-300; the sweep count is fixed in advance.
         t = random_chain(np.random.default_rng(9), 12)
-        bottom, top = _gershgorin(t)
+        bottom, top = t.gershgorin()
         pts = _SWEEP_SHIFTS // t.n
         bound = math.ceil((math.log2(top - bottom) - math.log2(1e-300)) / math.log2(pts + 1)) + 1
         vals = eigenvalues_bisection(t, 1e-300).values

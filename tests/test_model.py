@@ -1,6 +1,7 @@
 """Parameter derivation and truncated-matrix construction."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -175,3 +176,23 @@ class TestInvariants:
     def test_symtri_validation(self):
         with pytest.raises(ValueError):
             SymTriMatrix(diag=np.zeros(3), off=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [
+            # b^2 overflows: a sweep would count 1 below every eigenvalue
+            # and 2 above all three.
+            ([0.0, 0.0, 1.0], [1e155, 1.0]),
+            # The Gershgorin width, or the sum of its ends, overflows.
+            ([1.7e308, -1.7e308], [1.0]),
+            ([1e308, 1e308], [1.0]),
+            # Non-finite entries.
+            ([math.nan, 0.0], [1.0]),
+            ([0.0, 0.0], [math.inf]),
+        ],
+    )
+    def test_symtri_rejects_entries_a_sweep_would_overflow(self, diag, off):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must be finite"):
+                SymTriMatrix(diag=diag, off=off)
