@@ -284,10 +284,11 @@ def converged_levels(
     enclosed with its bound below tol.
 
     Raises:
-        ValueError: if level_count < 1, if tol is not finite and positive,
-            or if tol is below the floor 2a, checked once the chain is built
-            and before any Sturm sweep; bisection to tol/16 keeps the
-            half-width below a, so the bound can meet every admitted tol.
+        ValueError: if level_count < 1, if tol is not positive or makes the
+            start brackets (width 2 (|Delta|/2 + tol)) overflow, or if tol is
+            below the floor 2a, checked once the chain is built and before
+            any Sturm sweep; bisection to tol/16 keeps the half-width below
+            a, so the bound can meet every admitted tol.
         ConvergenceError: if the truncation exceeds the module caps
             ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x levels,
             checked before the chain is built, or if a level is not enclosed
@@ -295,8 +296,9 @@ def converged_levels(
     """
     if level_count < 1:
         raise ValueError("level_count must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    spread = abs(params.delta) / 2.0
+    if not (tol > 0 and math.isfinite(2.0 * (spread + tol))):
+        raise ValueError(f"tol={tol!r} must be positive, with a finite bracket width 2 (|Delta|/2 + tol)")
     n_dim = _first_truncation(params, chain, level_count)
     if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
         raise ConvergenceError(
@@ -309,7 +311,6 @@ def converged_levels(
     allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))
     if tol < 2.0 * allowance:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")
-    spread = abs(params.delta) / 2.0
     mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
     t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
     # Bisect well below tol so the half-width leaves room for the rounding allowance.

@@ -102,7 +102,7 @@ def derive_params(g: float, delta: float) -> ModelParams:
             longer discrete (or the model degenerates), or if delta is not
             finite.
     """
-    if not (0.0 < g < 0.5) or math.isnan(g):
+    if not 0.0 < g < 0.5:
         raise DomainError(
             f"coupling g={g!r} outside the discrete-spectrum domain (0, 1/2)"
         )
@@ -172,8 +172,6 @@ def build_chain(params: ModelParams, chain: ChainSelector, n_dim: int) -> SymTri
         diag[k] = n + sigma (Delta/2) (-1)^floor(n/2),
         off[k]  = g sqrt((n+1)(n+2)).
     """
-    if n_dim < 2:
-        raise ValueError("n_dim must be at least 2")
     fock = 2 * np.arange(n_dim) + chain.parity.offset
     signs = (-1.0) ** (fock // 2)
     diag = fock + chain.branch.sign * (params.delta / 2.0) * signs

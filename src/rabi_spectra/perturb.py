@@ -100,14 +100,6 @@ class SpectrumModel:
         if np.any(np.diff(self.mu) <= 0):
             raise ValueError("mu must be strictly increasing")
 
-    @classmethod
-    def from_functions(cls, mu_fn, row_norm_fn, size: int) -> "SpectrumModel":
-        ms = np.arange(size)
-        return cls(
-            mu=np.array([mu_fn(int(m)) for m in ms], dtype=float),
-            row_norms=np.array([row_norm_fn(int(m)) for m in ms], dtype=float),
-        )
-
 
 def v_tilde(m: int, n: int, params: ModelParams) -> float:
     """Single element of the transformed perturbation matrix.
@@ -132,10 +124,10 @@ _HUGE = 1e150
 def _recur(a: list[float], b: list[float], c: list[float]) -> np.ndarray:
     """Solution of c_i x_{i+1} = a_i x_i - b_i x_{i-1} from x_{-1} = 0, x_0 = 1.
 
-    Returns x_0..x_len(a), scaled by the largest |x_i|; the prefix is scaled
-    down whenever an entry passes 1e150, so growing solutions never overflow.
-    A step that overflows even so (|a_i| above about 1e158, at tiny g) is
-    redone after the prefix is scaled to max(|x_i-1|, |x_i|) = 1.
+    Returns x_0..x_len(a), scaled by the largest |x_i|.  A step above 1e150,
+    or one that overflows (|a_i| above about 1e158, at tiny g), is redone
+    after the prefix is scaled to max(|x_i-1|, |x_i|) = 1, so growing
+    solutions never overflow.
     """
     x = np.empty(len(a) + 1)
     x[0] = cur = 1.0
@@ -143,11 +135,10 @@ def _recur(a: list[float], b: list[float], c: list[float]) -> np.ndarray:
     for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
         step = (ai * cur - bi * prev) / ci
         if not abs(step) <= _HUGE:
-            overflow = not math.isfinite(step)
-            scale = max(abs(prev), abs(cur)) if overflow else _HUGE
+            scale = max(abs(prev), abs(cur))
             x[: i + 1] /= scale
             prev, cur = prev / scale, cur / scale
-            step = (ai * cur - bi * prev) / ci if overflow else step / scale
+            step = (ai * cur - bi * prev) / ci
         prev, cur = cur, step
         x[i + 1] = cur
     return x / np.max(np.abs(x))
@@ -253,6 +244,20 @@ def row_tail_mass(n: int, params: ModelParams, cutoff: int) -> float:
     return max(params.delta**2 / 4.0 - float(np.sum(vals * vals)), 0.0)
 
 
+def _row_moment(n: int, params: ModelParams, cutoff: int, power: int) -> float:
+    """sum_{k != n, k <= cutoff} V~_kn^2 / ((n-k) omega)^power, for power 1 or 2."""
+    if cutoff <= 2 * n:
+        raise ValueError("cutoff too small: requires cutoff > 2n")
+    ks, vals = v_tilde_row(params, n, cutoff)
+    mask = ks != n
+    return float(np.sum(vals[mask] ** 2 / (n - ks[mask]) ** power)) / params.omega**power
+
+
+def _tail_moment(n: int, params: ModelParams, cutoff: int, power: int) -> float:
+    """Tail bound of :func:`_row_moment`: row tail mass over the least |(n-k) omega|^power."""
+    return row_tail_mass(n, params, cutoff) / (params.omega**power * (cutoff + 1 - n) ** power)
+
+
 def second_order(n: int, params: ModelParams, cutoff: int) -> float:
     """Second-order correction sum_{k != n, k <= cutoff} V~_nk^2 / ((n-k) omega).
 
@@ -260,16 +265,12 @@ def second_order(n: int, params: ModelParams, cutoff: int) -> float:
     by omega, and mapping the correction back multiplies by omega once,
     leaving a single 1/omega on the second-order term.
     """
-    if cutoff <= 2 * n:
-        raise ValueError("cutoff too small: requires cutoff > 2n")
-    ks, vals = v_tilde_row(params, n, cutoff)
-    mask = ks != n
-    return float(np.sum(vals[mask] ** 2 / (n - ks[mask]))) / params.omega
+    return _row_moment(n, params, cutoff, 1)
 
 
 def second_order_tail(n: int, params: ModelParams, cutoff: int) -> float:
     """Bound on the neglected |tail| of :func:`second_order` past the cutoff."""
-    return row_tail_mass(n, params, cutoff) / (params.omega * (cutoff + 1 - n))
+    return _tail_moment(n, params, cutoff, 1)
 
 
 def k_norm_sq(n: int, params: ModelParams, cutoff: int) -> float:
@@ -278,16 +279,12 @@ def k_norm_sq(n: int, params: ModelParams, cutoff: int) -> float:
     K is the anti-hermitian similarity generator of the scaled (mu_n = n)
     problem, hence the 1/omega^2.
     """
-    if cutoff <= 2 * n:
-        raise ValueError("cutoff too small: requires cutoff > 2n")
-    ks, vals = v_tilde_row(params, n, cutoff)
-    mask = ks != n
-    return float(np.sum(vals[mask] ** 2 / (ks[mask] - n) ** 2)) / params.omega**2
+    return _row_moment(n, params, cutoff, 2)
 
 
 def k_norm_sq_tail(n: int, params: ModelParams, cutoff: int) -> float:
     """Bound on the neglected tail of :func:`k_norm_sq` past the cutoff."""
-    return row_tail_mass(n, params, cutoff) / (params.omega**2 * (cutoff + 1 - n) ** 2)
+    return _tail_moment(n, params, cutoff, 2)
 
 
 def delta_n(model: SpectrumModel, n: int, m_cutoff: int) -> float:
@@ -319,8 +316,6 @@ def delta_n(model: SpectrumModel, n: int, m_cutoff: int) -> float:
 
 def three_term(n: int, params: ModelParams, branch: Branch) -> AsymptoticBreakdown:
     """Three-term asymptotic breakdown of level n (numeric fields unfilled)."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
     linear = n * params.omega
     shift = (params.omega - 1.0) / 2.0
     oscillatory = branch.sign * v_tilde_diag_asym(n, params)

@@ -136,7 +136,6 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float, f
             return 0.0, -math.inf, 1.0, peak, -math.inf
         return (-1.0) ** k, peak, 1.0, peak, peak
     log2x = math.log(abs(2.0 * x))
-    sign2x = 1.0 if x > 0 else -1.0
     ks = np.arange(n // 2 + 1)
     lg_n = math.lgamma(n + 1)
     logs = np.array(
@@ -150,8 +149,9 @@ def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float, f
         ]
     )
     signs = np.where(ks % 2 == 0, 1.0, -1.0)
-    if sign2x < 0:
-        signs = signs * np.where((n - 2 * ks) % 2 == 0, 1.0, -1.0)
+    # (2x)^(n-2k) has the sign of x^n for every k.
+    if x < 0 and n % 2:
+        signs = -signs
     peak = float(np.max(logs))
     ratios = signs * np.exp(logs - peak)
     total = math.fsum(ratios.tolist())
@@ -316,7 +316,7 @@ class AsymValue:
 
     @property
     def envelope(self) -> float:
-        return math.exp(self.log_envelope) if self.log_envelope <= 709.0 else math.inf
+        return _signed_exp(1.0, self.log_envelope)
 
 
 def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
@@ -328,10 +328,6 @@ def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
     """
     if n_full < 0:
         raise ValueError("indices must be non-negative")
-    if (m_full - n_full) % 2:
-        raise ValueError("parity mismatch: indices must be both even or both odd")
-    if m_full < n_full:
-        raise ValueError("requires m_full >= n_full")
     spec = PhaseSpec.for_indices(n_full, m_full, x)
     lam = spec.lambda_hat
     r = spec.s / lam if lam > 0 else 0.0
@@ -342,16 +338,13 @@ def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
         )
     y = phase_integral(spec)
     s_half = (n_full + m_full) // 2
+    n_h, m_h = n_full // 2, m_full // 2
     if n_full % 2 == 0:
-        n_h, m_h = n_full // 2, m_full // 2
         osc = math.cos(y)
         extra = 0.25 * math.log1p(-r * r)
-        base_sign = (-1.0) ** n_h
     else:
-        n_h, m_h = (n_full - 1) // 2, (m_full - 1) // 2
         osc = math.sin(y)
         extra = -0.25 * math.log1p(-r * r) + math.log(2.0) - math.log(lam)
-        base_sign = (-1.0) ** n_h
     log_env = (
         math.lgamma(n_full + 1)
         - math.lgamma(n_h + 1)
@@ -363,7 +356,7 @@ def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
     if osc == 0.0:
         return AsymValue(0.0, -math.inf, log_env, y)
     return AsymValue(
-        sign=base_sign * math.copysign(1.0, osc),
+        sign=(-1.0) ** n_h * math.copysign(1.0, osc),
         log_abs=log_env + math.log(abs(osc)),
         log_envelope=log_env,
         phase=y,

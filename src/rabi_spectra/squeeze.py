@@ -6,6 +6,8 @@ Two independent constructions are cross-validated:
   normal-ordered factorization U = e^{-gamma a+^2} e^{beta (a+a + 1/2)}
   e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam), whose
   kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb`;
+  :func:`factorization_residual` evaluates the same closed form in exact
+  rationals;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
   generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
   couples even and odd Fock states, so the exponential is block-diagonal by
@@ -162,11 +164,12 @@ def u_element(m: int, n: int, lam: float) -> float:
 def factorization_residual(n_dim: int, lam: float) -> float:
     """Max-abs certified-block residual of the normal-ordered factorization.
 
-    Multiplies e^{-gamma a+^2}, diag(e^{beta (n+1/2)}) and e^{gamma a^2} on
-    the truncation (the outer factors are nilpotent there, so their Taylor
-    series terminate) and compares against the exponential oracle over the
-    top-left quarter block.  The triangular banded structure confines the
-    block product to indices inside the block.  Its entry (i, j) is
+    Evaluates the entries of the product e^{-gamma a+^2} diag(e^{beta (n+1/2)})
+    e^{gamma a^2} in closed form, without multiplying matrices, and compares
+    them against the exponential oracle over the top-left quarter block.
+    This is the closed form of :func:`u_element`, evaluated exactly rather
+    than in floats.  The outer factors are triangular and banded, so the
+    block of the product needs no index outside the block.  Its entry (i, j) is
 
         e^{beta/2} sqrt(i! j!) (-1)^{s [i > j]} gamma^{(i+j)/2} P_n^{(s)}(x) / n!
 

@@ -147,6 +147,21 @@ class TestSpectrum:
         assert code == 2
         assert "floor" in err and "Traceback" not in err
 
+    def test_zero_levels_exit_2(self, tmp_path, capsys):
+        assert run_cli(["spectrum", "--levels", "0"], tmp_path) == 2
+        assert "--levels" in capsys.readouterr().err
+
+    # From tol 8.99e307 on, the start brackets mu -+ (|Delta|/2 + tol) are
+    # wider than the largest double.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["spectrum", "residuals"])
+    def test_tol_with_overflowing_brackets_exit_2(self, tmp_path, capsys, command):
+        code = run_cli([command, "--tol", "1.7e308"], tmp_path)
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert out == ""
+        assert "tol=1.7e+308" in err and "Traceback" not in err
+
     def test_tol_below_large_delta_floor_exit_2_fast(self, tmp_path, capsys):
         # The floor 8 eps max(1, |Gershgorin ends|) of the chain, about 1.1e-12
         # here (its top end is near 640), rejects a tol that the bound could
@@ -184,6 +199,11 @@ class TestResiduals:
             assert abs(float(r[6])) < 10 * tol
             # 17-significant-digit round trip keeps the sum identity exact.
             assert float(r[5]) == float(r[2]) + float(r[3]) + float(r[4])
+
+    def test_single_parity_range(self, tmp_path, capsys):
+        assert run_cli(["residuals", "--n-min", "11", "--n-max", "11"], tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r[0] for r in rows] == ["11"]
 
     def test_branch_oscillatory_sign(self, tmp_path, capsys):
         rows = {}
@@ -235,9 +255,29 @@ class TestVerify:
         code = run_cli(["verify", "--suite", "all", "--g", g], tmp_path)
         out, err = capsys.readouterr()
         assert code in (0, 1), err
-        assert len(re.findall(r"^\w+: \S+ < \S+ (?:PASS|FAIL)$", out, re.M)) == 15, out
+        assert len(re.findall(r"^\w+: \S+ < \S+ (?:PASS|FAIL)$", out, re.M)) == 14, out
         assert not re.search(r"(?:inf|nan) < \S+ PASS", out), out
         assert err == ""
+
+    def test_check_names_pinned(self, tmp_path, capsys):
+        assert run_cli(["verify", "--suite", "all"], tmp_path) == 0
+        names = re.findall(r"^(\w+): \S+ < \S+ PASS$", capsys.readouterr().out, re.M)
+        assert names == [
+            "factorization_residual",
+            "h0_transform_residual",
+            "uvu_residual",
+            "u_element_vs_oracle",
+            "oracle_orthogonality",
+            "phase_integral_closed_form",
+            "p_fast_vs_p_exact_rel",
+            "hypergeometric_identity",
+            "asym_decay_inverse_ratio_even",
+            "asym_decay_inverse_ratio_odd",
+            "row_sum_identity",
+            "v_tilde_row_vs_closed_form",
+            "delta_n_vs_bruteforce",
+            "diag_asym_scaled_residual",
+        ]
 
     @pytest.mark.filterwarnings("error")
     def test_huge_delta_exit_1(self, tmp_path, capsys):
@@ -294,6 +334,16 @@ class TestPoly:
 
     def test_parity_mismatch_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "3", "--m", "4"], tmp_path) == 2
+
+    def test_order_exit_2(self, tmp_path, capsys):
+        assert run_cli(["poly", "--n", "5", "--m", "3"], tmp_path) == 2
+        assert "n <= m" in capsys.readouterr().err
+
+    def test_outside_asymptotic_domain_leaves_cells_empty(self, tmp_path, capsys):
+        argv = ["poly", "--n", "2", "--m", "40", "--x-min", "3", "--x-max", "3", "--points", "1"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1 and rows[0][3:] == ["", ""]
 
     def test_degree_beyond_budget_exit_2(self, tmp_path, capsys):
         start = time.monotonic()
@@ -384,6 +434,15 @@ class TestConfigPrecedence:
         assert run_cli(["spectrum", "--levels", "4"], tmp_path, config=config) == 0
         _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 4
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        config = "# two levels\n\n  \nlevels=2\n"
+        assert run_cli(["spectrum"], tmp_path, config=config) == 0
+        assert len(parse_csv(capsys.readouterr().out)[1]) == 2
+
+    def test_line_without_equals_exit_2(self, tmp_path, capsys):
+        assert run_cli(["spectrum"], tmp_path, config="levels 2\n") == 2
+        assert "malformed config line" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         old = os.environ.pop("RABI_SPECTRA_CONFIG", None)

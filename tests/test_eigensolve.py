@@ -439,10 +439,13 @@ class TestConvergedLevels:
             )
         assert time.monotonic() - start < 1.0
 
-    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 0.0, -1e-8, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "tol", [1e-300, 1e-15, 0.0, -1e-8, math.nan, math.inf, 8.99e307, 1.7e308]
+    )
     def test_tol_floor_and_finiteness(self, tol):
         # 50 levels at g = 0.2 put the floor, 8 eps times the chain's Gershgorin top
-        # end, at about 5.7e-13.
+        # end, at about 5.7e-13.  From 8.99e307 on, the start brackets of width
+        # 2 (|Delta|/2 + tol) are wider than the largest double.
         with pytest.raises(ValueError):
             converged_levels(
                 derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 50, tol
@@ -627,6 +630,12 @@ class TestCertificate:
         values, bounds = np.arange(3.0), np.full(3, 1e-8)
         eigensolve.Spectrum(values=values, truncation_dim=3, tol=1e-8, bounds=bounds)
         values[0] = bounds[0] = 5.0
+
+    def test_spectrum_rejects_bad_bounds_and_path(self):
+        with pytest.raises(ValueError, match="one entry per value"):
+            eigensolve.Spectrum(values=np.arange(3.0), truncation_dim=3, tol=1e-8, bounds=[1e-8])
+        with pytest.raises(ValueError, match="path"):
+            eigensolve.Spectrum(values=np.arange(3.0), truncation_dim=3, tol=1e-8, path="guess")
 
     def test_direct_solves_default_bounds(self):
         s = eigenvalues_bisection(random_chain(np.random.default_rng(11), 6), 1e-10)

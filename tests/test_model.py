@@ -178,6 +178,18 @@ class TestInvariants:
             SymTriMatrix(diag=np.zeros(3), off=np.zeros(3))
 
     @pytest.mark.parametrize(
+        "diag, off, message",
+        [
+            (np.zeros((2, 2)), np.zeros(1), "one-dimensional"),
+            (np.zeros(1), np.zeros(0), "at least 2"),
+        ],
+        ids=["2-d-diagonal", "one-site"],
+    )
+    def test_symtri_rejects_bad_shapes(self, diag, off, message):
+        with pytest.raises(ValueError, match=message):
+            SymTriMatrix(diag=diag, off=off)
+
+    @pytest.mark.parametrize(
         "diag, off",
         [
             # b^2 overflows: a sweep would count 1 below every eigenvalue

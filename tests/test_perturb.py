@@ -30,6 +30,7 @@ from rabi_spectra import (
     v_tilde_row,
 )
 from rabi_spectra.model import ChainSelector
+from rabi_spectra.polys import MAX_ELEMENT_INDEX
 from rabi_spectra.squeeze import parity_sign_diagonal
 
 PARAMS = derive_params(0.2, 1.0)
@@ -126,6 +127,12 @@ class TestVTilde:
         assert v_tilde(8, 8, p0) == 0.0
         _, vals = v_tilde_row(p0, 8, 200)
         assert np.all(vals == 0.0)
+
+    def test_row_guards(self):
+        with pytest.raises(ValueError, match="n <= cutoff"):
+            v_tilde_row(PARAMS, 5, 3)
+        with pytest.raises(ValueError, match="cutoff exceeds"):
+            v_tilde_row(PARAMS, 5, MAX_ELEMENT_INDEX + 1)
 
     def test_index_guard(self):
         with pytest.raises(ValueError):
@@ -308,6 +315,10 @@ class TestDeltaN:
         with pytest.raises(DegenerateGapError):
             delta_n(model, 1, 3)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SpectrumModel(mu=np.arange(5, dtype=float), row_norms=np.ones(4))
+
     def test_interior_guard(self):
         model = SpectrumModel(mu=np.arange(30, dtype=float), row_norms=np.ones(30))
         with pytest.raises(ValueError):
@@ -343,6 +354,10 @@ class TestThreeTerm:
             b = three_term(n, PARAMS, Branch.PLUS)
             assert b.oscillatory == v_tilde_diag_asym(n, PARAMS)
             assert b.three_term == b.linear + b.shift + b.oscillatory
+
+    def test_index_guard(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            three_term(0, PARAMS, Branch.PLUS)
 
     def test_breakdown_fields(self):
         b = three_term(40, PARAMS, Branch.MINUS)

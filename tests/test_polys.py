@@ -109,6 +109,16 @@ class TestFast:
         with pytest.raises(ValueError, match=str(polys.MAX_ELEMENT_INDEX)):
             p_fast_parts(polys.MAX_ELEMENT_INDEX + 1, 0, MODEL_X)
 
+    def test_negative_index_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            p_fast_parts(-1, 0, 1.0)
+
+    def test_exact_zero(self):
+        # P_2^(1)(x) = 4x^2 - 1: the double sum cancels to 0, so the exact sum decides.
+        parts = p_fast_parts(2, 1, 0.5)
+        assert (parts.sign, parts.log_abs, parts.escalated) == (0.0, -math.inf, True)
+        assert parts.value == 0.0
+
     def test_non_finite_argument_raises(self):
         for n in (3, 300):
             for x in (math.inf, -math.inf, math.nan):
@@ -275,6 +285,10 @@ class TestPhaseIntegral:
         with pytest.raises(TurningPointError):
             phase_integral(PhaseSpec(s=5, lambda_hat=10.0, t_max=3.0))
 
+    def test_for_indices_rejects_parity_mismatch(self):
+        with pytest.raises(ValueError, match="parity"):
+            PhaseSpec.for_indices(3, 4, 1.0)
+
     def test_spec_invariant_validation(self):
         with pytest.raises(ValueError):
             PhaseSpec(s=10, lambda_hat=5.0, t_max=1.0)
@@ -325,6 +339,10 @@ class TestAsym:
     def test_order_requirement(self):
         with pytest.raises(ValueError):
             p_asym(10, 8, 1.0)
+
+    def test_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            p_asym_parts(-2, 0, 1.0)
 
     def test_validity_domain(self):
         # s/lambda must stay below 1/sqrt(1+x^2).
