@@ -1,11 +1,11 @@
 """The polynomial family behind the matrix elements, three ways.
 
 P_n^{(s)}(x) is evaluated exactly (rational arithmetic), in floating point
-with a switch to the exact integer sum when the double sum cancels, and
-through its large-index asymptotic form (envelope times cos/sin of a phase
-integral, which has a closed form).  The demo shows the catastrophic
-cancellation that motivates the switch and the O(1/(n+m)) decay of the
-asymptotic remainder.
+read from the exact integer sum, and through its large-index asymptotic form
+(envelope times cos/sin of a phase integral, which has a closed form).  The
+demo shows the catastrophic cancellation of the alternating sum that rules
+out summing it in doubles, and the O(1/(n+m)) decay of the asymptotic
+remainder.
 """
 
 import math
@@ -36,12 +36,17 @@ rhs = (
 print(f"  P_12 - identity rhs = {lhs - rhs} (exact zero)")
 
 print("\ncancellation of the alternating sum at the model point:")
+# Dropping the signs of the terms T_k of P_n^(0) turns -x^2 into +x^2 in the
+# hypergeometric identity: sum|T_k| = n!/((n/2)!^2) F(-n/2, -n/2; 1/2; x^2).
+x_exact = Fraction(x)
 for n in (50, 100, 200, 400):
-    parts = p_fast_parts(n, 0, x)
-    note = "exact integer sum" if parts.escalated else "double"
+    mass = Fraction(math.factorial(n), math.factorial(n // 2) ** 2) * hyper_f(
+        n // 2, n // 2, Fraction(1, 2), x_exact**2
+    )
+    condition = float(mass / abs(p_exact(n, 0, x_exact)))
     print(
-        f"  degree {n:4}: condition {parts.condition:9.2e} -> {note}; "
-        f"log|P| = {parts.log_abs:10.3f}"
+        f"  degree {n:4}: sum|T_k|/|P| {condition:9.2e} = e^({math.log(condition) / n:.3f} n); "
+        f"log|P| = {p_fast_parts(n, 0, x).log_abs:10.3f}"
     )
 
 print("\nphase integral at s = 0 against its special case y = lambda arctan sinh t:")

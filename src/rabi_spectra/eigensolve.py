@@ -287,8 +287,8 @@ def converged_levels(
         ValueError: if level_count < 1, if tol is not positive or makes the
             start brackets (width 2 (|Delta|/2 + tol)) overflow, or if tol is
             below the floor 2a, checked once the chain is built and before
-            any Sturm sweep; bisection to tol/16 keeps the half-width below
-            a, so the bound can meet every admitted tol.
+            any Sturm sweep; bisection to width tol - a leaves the bound
+            at most (tol + a)/2, below every admitted tol.
         ConvergenceError: if the truncation exceeds the module caps
             ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x levels,
             checked before the chain is built, or if a level is not enclosed
@@ -313,8 +313,7 @@ def converged_levels(
         raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")
     mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
     t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-    # Bisect well below tol so the half-width leaves room for the rounding allowance.
-    lo, hi = _bisect(t, mu - (spread + tol), mu + (spread + tol), tol / 16.0)
+    lo, hi = _bisect(t, mu - (spread + tol), mu + (spread + tol), tol - allowance)
     values = 0.5 * (lo + hi)
     bounds = 0.5 * (hi - lo) + allowance
     lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)

@@ -6,18 +6,16 @@ Three evaluation routes are provided and cross-validated:
 
 * :func:`p_exact` — exact rational value, the ground truth;
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
-  sum cancels catastrophically for large degree: its condition number
-  sum|T_k| / |P| grows roughly like e^{0.27 n} at the model's evaluation
-  point.  The double path estimates it and escalates to the exact integer
-  sum at the (dyadic rational) double argument whenever the double result
-  is no longer trustworthy, so the value returned is always the accurate
-  one;
+  sum cancels catastrophically for large degree (sum|T_k| / |P| grows
+  roughly like e^{0.27 n} at the model's evaluation point), so it is summed
+  exactly in integers at the (dyadic rational) double argument and only the
+  logarithm of the result is rounded;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
 
-:func:`p_exact`, the :func:`p_fast` escalation and the factorization check
-of :mod:`rabi_spectra.squeeze` share one integer kernel, :func:`_exact_sum`.
+:func:`p_exact`, :func:`p_fast` and the factorization check of
+:mod:`rabi_spectra.squeeze` share one integer kernel, :func:`_exact_sum`.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
 represents the same polynomials, giving an independent exact oracle.
 """
@@ -49,14 +47,9 @@ __all__ = [
 MAX_EXACT_DEGREE = 400
 # Largest polynomial degree or matrix-element index accepted anywhere.
 MAX_ELEMENT_INDEX = 100_000
-# Estimated double-path relative error above which the exact integer sum
-# replaces the double result.  The per-term accuracy in log space is
-# ~|log term| * eps, amplified by the condition number of the alternating sum.
-_ESCALATE_REL_ERROR = 1e-11
 # ln 2 split so that e * _LN2_HI is exact for |e| < 2^21.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class TurningPointError(ValueError):
@@ -105,74 +98,43 @@ def _signed_exp(sign: float, log_abs: float) -> float:
 class PolyValue:
     """Sign / log-magnitude decomposition of a polynomial value.
 
-    ``condition`` is the condition number sum|T_k| / |P| of the alternating
-    sum, the factor by which it amplifies per-term rounding: estimated from
-    the double sum, or, when ``escalated`` (the exact integer sum replaced
-    the double result), taken against the exact value, and inf where it
-    overflows or P = 0.  ``value`` overflows to +-inf for log_abs > ~709.
+    ``escalated`` (the value came from the exact integer sum) is always
+    True, since that sum is the only route; it stays because the benchmark
+    tracer, ``perfbench/tracing.py``, counts it.  ``value`` overflows to
+    +-inf for log_abs > ~709.
     """
 
     sign: float
     log_abs: float
-    condition: float
-    escalated: bool
+    escalated: bool = True
 
     @property
     def value(self) -> float:
         return _signed_exp(self.sign, self.log_abs)
 
 
-def _double_sum(n: int, s: int, x: float) -> tuple[float, float, float, float, float]:
-    """Double log-space evaluation: (sign, log_abs, condition, peak_log, log_mass).
-
-    The largest term (log magnitude ``peak_log``) is factored out and the
-    signed ratios are summed exactly rounded by :func:`math.fsum`;
-    ``log_mass`` is log sum|T_k|.
-    """
-    if x == 0.0:
-        k = n // 2
-        peak = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(s + k + 1)
-        if n % 2:
-            return 0.0, -math.inf, 1.0, peak, -math.inf
-        return (-1.0) ** k, peak, 1.0, peak, peak
-    log2x = math.log(abs(2.0 * x))
-    ks = np.arange(n // 2 + 1)
-    lg_n = math.lgamma(n + 1)
-    logs = np.array(
-        [
-            lg_n
-            + (n - 2 * k) * log2x
-            - math.lgamma(k + 1)
-            - math.lgamma(n - 2 * k + 1)
-            - math.lgamma(s + k + 1)
-            for k in range(n // 2 + 1)
-        ]
-    )
-    signs = np.where(ks % 2 == 0, 1.0, -1.0)
-    # (2x)^(n-2k) has the sign of x^n for every k.
-    if x < 0 and n % 2:
-        signs = -signs
-    peak = float(np.max(logs))
-    ratios = signs * np.exp(logs - peak)
-    total = math.fsum(ratios.tolist())
-    abs_mass = float(np.sum(np.abs(ratios)))
-    log_mass = peak + math.log(abs_mass)
-    if total == 0.0:
-        return 0.0, -math.inf, math.inf, peak, log_mass
-    condition = abs_mass / abs(total)
-    return math.copysign(1.0, total), peak + math.log(abs(total)), condition, peak, log_mass
-
-
 def _log_ratio(w: int, d: int) -> float:
-    """log(w/d) for integers w, d > 0, from 64 leading bits of the quotient."""
-    e = w.bit_length() - d.bit_length() - 64
-    top = w // (d << e) if e >= 0 else (w << -e) // d
-    e += top.bit_length()
-    return math.fsum((math.log(top / (1 << top.bit_length())), e * _LN2_HI, e * _LN2_LO))
+    """log(w/d) for integers w, d > 0, to about an ulp relative.
+
+    w/d = 2^e num/den with num/den within a factor sqrt(2) of 1, and
+    log(num/den) = log1p((num - den)/den) with that quotient rounded once, so
+    a value near 1 keeps its relative accuracy.
+    """
+    e = w.bit_length() - d.bit_length()
+    num, den = (w, d << e) if e >= 0 else (w << -e, d)  # num/den in (1/2, 2)
+    q = num / den
+    if q * q < 0.5:
+        num, e = 2 * num, e - 1
+    elif q * q > 2.0:
+        den, e = 2 * den, e + 1
+    return math.fsum((math.log1p((num - den) / den), e * _LN2_HI, e * _LN2_LO))
 
 
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
+
+    Read from the exact integer sum at x taken as a binary fraction, so the
+    only rounding is that of the final logarithm.
 
     Raises:
         ValueError: for a negative index, a degree above MAX_ELEMENT_INDEX
@@ -185,17 +147,10 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument x={x!r} must be finite")
-    sign, log_abs, condition, peak, log_mass = _double_sum(n, s, x)
-    err_est = condition * (abs(peak) + 50.0) * 3.0 * float(np.finfo(float).eps)
-    if math.isfinite(condition) and err_est <= _ESCALATE_REL_ERROR:
-        return PolyValue(sign, log_abs, condition, False)
     w, d = _exact_sum(n, s, Fraction(x))
     if w == 0:
-        return PolyValue(0.0, -math.inf, math.inf, True)
-    log_abs = _log_ratio(abs(w), d)
-    log_condition = log_mass - log_abs
-    condition = math.exp(log_condition) if log_condition < _LOG_FLOAT_MAX else math.inf
-    return PolyValue(1.0 if w > 0 else -1.0, log_abs, condition, True)
+        return PolyValue(0.0, -math.inf)
+    return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(abs(w), d))
 
 
 def p_fast(n: int, s: int, x: float) -> float:

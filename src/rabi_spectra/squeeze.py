@@ -115,10 +115,10 @@ def _element(m: int, n: int, t: float, c: float) -> float:
 
     (P of :mod:`rabi_spectra.polys`, in log-magnitude + sign form), and
     U_{m,n} = (-1)^{(n-m)/2} U_{n,m} for m < n; elements across parities
-    vanish.  P is evaluated at c/t rounded once to double, even when
-    ``p_fast_parts`` escalates to the exact sum, so next to a node of P the
-    element is off by up to 3.1e-11 relative (V~ at g = 0.2,
-    (m, n) = (453, 405)); checks of a row against it cannot be tighter there.
+    vanish.  ``p_fast_parts`` sums P exactly, but at c/t rounded once to
+    double, so next to a node of P the element is off by up to 3.1e-11
+    relative (V~ at g = 0.2, (m, n) = (453, 405)); checks of a row against
+    it cannot be tighter there.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")

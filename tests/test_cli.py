@@ -269,7 +269,7 @@ class TestVerify:
             "u_element_vs_oracle",
             "oracle_orthogonality",
             "phase_integral_closed_form",
-            "p_fast_vs_p_exact_rel",
+            "p_fast_vs_hyper_f_rel",
             "hypergeometric_identity",
             "asym_decay_inverse_ratio_even",
             "asym_decay_inverse_ratio_odd",
