@@ -3,9 +3,8 @@
 U(lam) = exp(lam (a^2 - a+^2)) diagonalizes the quadratic part of the model
 when tanh(4 lam) = 2g.  Two independent constructions are compared on the
 certified block of a 256-dimensional truncation: the closed-form matrix
-elements of the normal-ordered factorization, evaluated in floats by
-u_element and in exact rationals by factorization_residual, and the matrix
-exponential.
+elements of the normal-ordered factorization (u_element, whose kernel also
+fills the block of factorization_residual) and the matrix exponential.
 """
 
 import math

@@ -85,8 +85,8 @@ class AsymptoticBreakdown:
 class SpectrumModel:
     """Tabulated unperturbed eigenvalues and perturbation row norms.
 
-    ``mu`` must be strictly increasing over the tabulated range; index m of
-    ``row_norms`` holds ||R e_m||.
+    Both tables must be finite, and ``mu`` strictly increasing over the
+    tabulated range; index m of ``row_norms`` holds ||R e_m||.
     """
 
     mu: np.ndarray
@@ -97,6 +97,8 @@ class SpectrumModel:
         object.__setattr__(self, "row_norms", np.asarray(self.row_norms, dtype=float))
         if self.mu.size != self.row_norms.size:
             raise ValueError("mu and row_norms must have equal length")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.row_norms).all()):
+            raise ValueError("mu and row_norms must be finite")
         if np.any(np.diff(self.mu) <= 0):
             raise ValueError("mu must be strictly increasing")
 
@@ -298,11 +300,15 @@ def delta_n(model: SpectrumModel, n: int, m_cutoff: int) -> float:
     (the m = n term contributes ||Re_n||^2 / r_n^2).
 
     Raises:
+        ValueError: unless 1 <= n <= m_cutoff < len(mu) and n < len(mu) - 1;
+            a cutoff below n would drop terms of the first sum.
         DegenerateGapError: if a neighbouring gap vanishes.
     """
     mu = model.mu
     if not 1 <= n <= mu.size - 2:
         raise ValueError("n must be interior to the tabulated range")
+    if m_cutoff < n:
+        raise ValueError(f"m_cutoff={m_cutoff} must be at least n={n}")
     if m_cutoff >= mu.size:
         raise ValueError("mu must be tabulated beyond m_cutoff")
     gap = min(mu[n] - mu[n - 1], mu[n + 1] - mu[n])

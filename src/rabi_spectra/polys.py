@@ -14,8 +14,9 @@ Three evaluation routes are provided and cross-validated:
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
 
-:func:`p_exact`, :func:`p_fast` and the factorization check of
-:mod:`rabi_spectra.squeeze` share one integer kernel, :func:`_exact_sum`.
+:func:`p_exact` and :func:`p_fast` share one integer kernel, :func:`_exact_sum`,
+which no other module calls; the squeeze elements of :mod:`rabi_spectra.squeeze`
+reach it through :func:`p_fast_parts`.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
 represents the same polynomials, giving an independent exact oracle.
 """
@@ -169,14 +170,18 @@ def hyper_f(n: int, m: int, c, z):
 
     Raises:
         ValueError: unless both leading parameters are non-positive integers
-            (the series would not terminate).
+            (the series would not terminate), or if c is one of 0, -1, ...,
+            -(min(n, m) - 1), where a term divides by zero.
     """
     if not (isinstance(n, int) and isinstance(m, int)) or n < 0 or m < 0:
         raise ValueError("series terminates only for non-negative integers n, m")
     term = 1
     total = term
     for k in range(min(n, m)):
-        term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
+        ck = c + k
+        if ck == 0:
+            raise ValueError(f"c={c!r} makes term {k + 1} of F(-{n}, -{m}; c; z) divide by zero")
+        term = term * (k - n) * (k - m) * z / (ck * (k + 1))
         total = total + term
     return total
 

@@ -319,6 +319,26 @@ class TestDeltaN:
         with pytest.raises(ValueError, match="equal length"):
             SpectrumModel(mu=np.arange(5, dtype=float), row_norms=np.ones(4))
 
+    @pytest.mark.parametrize(
+        "mu_entry, norm_entry", [(math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (5.0, math.inf)]
+    )
+    def test_non_finite_entries_rejected(self, mu_entry, norm_entry):
+        # Unchecked, a NaN in mu passed the increasing test and delta_n returned nan.
+        mu = np.arange(10, dtype=float)
+        norms = np.ones(10)
+        mu[9], norms[5] = mu_entry, norm_entry
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumModel(mu=mu, row_norms=norms)
+
+    def test_cutoff_below_n_rejected(self):
+        # Unchecked, a cutoff below n dropped terms m <= n of the first sum:
+        # delta_n(model, 5, 3) gave 0.858 and delta_n(model, 5, -1) gave 0.0.
+        model = SpectrumModel(mu=np.arange(30, dtype=float), row_norms=np.ones(30))
+        for cut in (4, 3, -1):
+            with pytest.raises(ValueError, match="m_cutoff"):
+                delta_n(model, 5, cut)
+        assert delta_n(model, 5, 5) == pytest.approx(brute_delta_n(model, 5, 5), abs=1e-12)
+
     def test_interior_guard(self):
         model = SpectrumModel(mu=np.arange(30, dtype=float), row_norms=np.ones(30))
         with pytest.raises(ValueError):

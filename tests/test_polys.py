@@ -199,6 +199,18 @@ class TestHyperF:
         z = Fraction(5, 9)
         assert hyper_f(1, 1, Fraction(1, 2), z) == 1 + 2 * z
 
+    @pytest.mark.parametrize("c", [0, -1, 0.0, Fraction(-2)])
+    def test_pole_of_c_rejected(self, c):
+        # Unchecked, these raised ZeroDivisionError.
+        with pytest.raises(ValueError, match="c="):
+            hyper_f(3, 3, c, Fraction(1, 2))
+
+    def test_non_positive_c_before_the_pole(self):
+        # No term reaches c + k = 0: the empty product, and c = -2 with two terms.
+        z = Fraction(1, 2)
+        assert hyper_f(0, 4, 0, z) == 1
+        assert hyper_f(2, 2, -2, z) == 1 - 2 * z + z * z
+
     def test_non_terminating_rejected(self):
         with pytest.raises(ValueError):
             hyper_f(-1, 2, 0.5, 0.3)
