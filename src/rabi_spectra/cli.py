@@ -8,9 +8,9 @@ residuals
     Per-level three-term asymptotic breakdown with certified eigenvalues and
     the normalized remainder sequences.
 verify
-    Runs the residual/identity verification suites (squeeze factorization,
-    polynomial oracles, perturbation identities) and reports each residual
-    against its threshold.
+    Runs the residual/identity verification suites (squeeze: closed form
+    against the exponential oracle, once; polynomial oracles; perturbation
+    identities) and reports each residual against its threshold.
 poly
     Tabulates one polynomial index pair across an x grid (exact, fast,
     asymptotic, and envelope columns).
@@ -125,15 +125,11 @@ def _suite_squeeze(g: float, delta: float, dim: int) -> list[_Check]:
     params = derive_params(g, delta)
     block = min(dim // 4, 64)
     oracle = squeeze.u_matrix_oracle(dim, params.lam)
-    table = np.array(
-        [[squeeze.u_element(m, n, params.lam) for n in range(block)] for m in range(block)]
-    )
     orth = float(np.max(np.abs((oracle.T @ oracle - np.eye(dim))[:block, :block])))
     return [
-        _Check("factorization_residual", squeeze.factorization_residual(dim, params.lam), 1e-7),
+        _Check("factorization_residual", squeeze.factorization_residual(dim, params.lam), 1e-9),
         _Check("h0_transform_residual", squeeze.h0_transform_residual(dim, g), 1e-6),
         _Check("uvu_residual", squeeze.uvu_residual(dim, params.lam, delta), 1e-8),
-        _Check("u_element_vs_oracle", float(np.max(np.abs(table - oracle[:block, :block]))), 1e-9),
         _Check("oracle_orthogonality", orth, 1e-9),
     ]
 
@@ -284,8 +280,9 @@ def cmd_poly(opts: dict[str, Any]) -> int:
         raise ValueError("requires 0 <= n <= m")
     if (m_full - n_full) % 2:
         raise ValueError("parity mismatch: n and m must share parity")
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise ValueError("--x-min and --x-max must be finite")
+    # One check for inf and NaN ends and for a width that overflows.
+    if not math.isfinite(x_max - x_min):
+        raise ValueError("the width --x-max minus --x-min must be finite")
     if x_min > x_max:
         raise ValueError("malformed range: x-min must not exceed x-max")
     if not 1 <= points <= MAX_POINTS:

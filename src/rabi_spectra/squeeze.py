@@ -4,9 +4,9 @@ Two independent constructions are cross-validated:
 
 * :func:`u_element` — the closed-form matrix elements obtained from the
   normal-ordered factorization U = e^{-gamma a+^2} e^{beta (a+a + 1/2)}
-  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam), whose
-  kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb` and the
-  certified block of :func:`factorization_residual`;
+  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam).  It
+  fills the certified block of :func:`factorization_residual`, and its
+  kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb`;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
   generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
   couples even and odd Fock states, so the exponential is block-diagonal by
@@ -49,6 +49,9 @@ def _check_dim(n_dim: int) -> None:
 
 
 def _certified(n_dim: int) -> int:
+    """Side of the certified block; it is empty below dimension 4."""
+    if not 4 <= n_dim <= MAX_ORACLE_DIM:
+        raise ValueError(f"truncation dimension must be in [4, {MAX_ORACLE_DIM}]")
     return n_dim // 4
 
 
@@ -144,11 +147,6 @@ def _element(m: int, n: int, t: float, c: float) -> float:
     return sign * math.exp(log_abs)
 
 
-def _check_lam(lam: float) -> None:
-    if not abs(lam) <= 354.0:  # also NaN
-        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
-
-
 def u_element(m: int, n: int, lam: float) -> float:
     """Closed-form squeeze matrix element (U(lam) e_n, e_m); see :func:`_element`.
 
@@ -157,31 +155,28 @@ def u_element(m: int, n: int, lam: float) -> float:
             log-space range (default 10^5), or unless |lam| <= 354, where
             1/cosh(2 lam) is still a normal double.
     """
-    _check_lam(lam)
+    if not abs(lam) <= 354.0:  # also NaN
+        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
     return _element(m, n, math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam))
 
 
 def factorization_residual(n_dim: int, lam: float) -> float:
     """Max-abs certified-block residual of the closed form against the oracle.
 
-    Evaluates the top-left quarter block of U through :func:`_element`, the
-    production kernel behind :func:`u_element` and the scalar V~, and
+    Evaluates the top-left quarter block of U through :func:`u_element` and
     compares it against the exponential oracle.  Each same-parity entry with
     m >= n is evaluated once and its mirror is filled by the reflection
     U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
 
     Raises:
-        ValueError: for a dimension outside [2, MAX_ORACLE_DIM], or unless
-            |lam| <= 354, as in :func:`u_element`.
+        ValueError: for a dimension outside [4, MAX_ORACLE_DIM], where the
+            block is not empty, or unless |lam| <= 354, as in :func:`u_element`.
     """
-    _check_dim(n_dim)
-    _check_lam(lam)
-    t, c = math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam)
     q = _certified(n_dim)
     block = np.zeros((q, q))
     for n in range(q):
         for m in range(n, q, 2):
-            block[m, n] = _element(m, n, t, c)
+            block[m, n] = u_element(m, n, lam)
             block[n, m] = (-1) ** ((m - n) // 2) * block[m, n]
     return float(np.max(np.abs(block - u_matrix_oracle(n_dim, lam)[:q, :q])))
 
@@ -220,10 +215,14 @@ def parity_sign_diagonal(n_dim: int, delta: float) -> np.ndarray:
 
 
 def uvu_residual(n_dim: int, lam: float, delta: float) -> float:
-    """Certified-block residual of U V U - V for the periodic diagonal V."""
-    _check_dim(n_dim)
+    """Certified-block residual of U V U - V for the periodic diagonal V.
+
+    Raises:
+        ValueError: for a dimension outside [4, MAX_ORACLE_DIM], where the
+            block is not empty.
+    """
+    q = _certified(n_dim)
     v = parity_sign_diagonal(n_dim, delta)
     u = u_matrix_oracle(n_dim, lam)
     uvu = u @ (v[:, None] * u)
-    q = _certified(n_dim)
     return float(np.max(np.abs(uvu - np.diag(v))[:q, :q]))

@@ -22,7 +22,7 @@ from rabi_spectra import (
 
 MODEL_X = derive_params(0.2, 1.0).omega / 0.4
 # Degree -> (s, x) points of the mpmath check.  x = 1.2431440570397516 is c/t
-# of the verify u_element table at g 0.45, and log|P_12^(7)| there is 0.025,
+# of the verify factorization block at g 0.45, and log|P_12^(7)| there is 0.025,
 # so the log must keep its relative accuracy near 0; (2000, 0, 0.001) sums
 # with little cancellation.
 MPMATH_POINTS = {

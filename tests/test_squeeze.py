@@ -178,3 +178,12 @@ class TestUVU:
     def test_moderate_coupling(self):
         lam = derive_params(0.3, 1.0).lam
         assert uvu_residual(256, lam, 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_empty_certified_block_rejected(n_dim):
+    # Unchecked, the empty block raised numpy's zero-size reduction error.
+    with pytest.raises(ValueError, match=r"\[4, 512\]"):
+        factorization_residual(n_dim, 0.1)
+    with pytest.raises(ValueError, match=r"\[4, 512\]"):
+        uvu_residual(n_dim, 0.1, 1.0)
