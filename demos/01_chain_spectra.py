@@ -24,8 +24,6 @@ params = derive_params(g=0.2, delta=1.0)
 print("derived constants for g = 0.2, delta = 1:")
 print(f"  omega  = sqrt(1 - 4g^2)   = {params.omega:.15f}")
 print(f"  lam    = artanh(2g)/4     = {params.lam:.15f}")
-print(f"  gamma  = tanh(2 lam)/2    = {params.gamma:.15f}")
-print(f"  beta   = -ln cosh(2 lam)  = {params.beta:.15f}")
 print(f"  A      = arctan(omega/2g) = {params.a_phase:.15f}")
 
 chain = ChainSelector(Branch.PLUS, Parity.EVEN)

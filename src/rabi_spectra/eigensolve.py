@@ -25,6 +25,7 @@ per certificate, after a work budget of sites x levels is checked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +228,7 @@ def eigenvalues_dense(a: np.ndarray) -> Spectrum:
     return Spectrum(values=values, truncation_dim=n, tol=n * _EPS * scale)
 
 
-def _first_truncation(params: ModelParams, chain: ChainSelector, level_count: int) -> int:
+def _first_truncation(params: ModelParams, chain: ChainSelector, level_count: float) -> float:
     """First truncation of :func:`converged_levels`: a margin past the top level's turning point.
 
     From site j_t = E / (2 (1 - 2g)), E = mu_top + |Delta|/2 + g, on, the tail
@@ -235,12 +236,14 @@ def _first_truncation(params: ModelParams, chain: ChainSelector, level_count: in
     bracket; there the top eigenvector leaves the allowed band.  The start adds a quarter of j_t for the turning region and
     32 / acosh(1/(2g)) sites, over which the eigenvector decays by about
     e^-32.  On 150 seeded cases the smallest truncation that certified was at
-    most 0.9 of this start.
+    most 0.9 of this start.  The size is a whole number as a float, inf
+    where it overflows, so that the work budget can refuse it before any
+    chain is built.
     """
     mu_top = params.omega * (2 * (level_count - 1) + chain.parity.offset + 0.5) - 0.5
     turning = (mu_top + abs(params.delta) / 2.0 + params.g) / (2.0 * (1.0 - 2.0 * params.g))
     decay = math.acosh(1.0 / (2.0 * params.g))
-    return max(math.ceil(1.25 * turning + 32.0 / decay), 64)
+    return max(float(np.ceil(1.25 * turning + 32.0 / decay)), 64.0)
 
 
 def converged_levels(
@@ -299,13 +302,16 @@ def converged_levels(
     spread = abs(params.delta) / 2.0
     if not (tol > 0 and math.isfinite(2.0 * (spread + tol))):
         raise ValueError(f"tol={tol!r} must be positive, with a finite bracket width 2 (|Delta|/2 + tol)")
-    n_dim = _first_truncation(params, chain, level_count)
-    if n_dim > MAX_CHAIN_DIM or n_dim * level_count > MAX_CHAIN_WORK:
+    # The budget is checked in floats, with the level count inf past the double range.
+    levels = float(level_count) if level_count <= sys.float_info.max else math.inf
+    size = _first_truncation(params, chain, levels)
+    if not (size <= MAX_CHAIN_DIM and size * levels <= MAX_CHAIN_WORK):
         raise ConvergenceError(
-            f"{level_count} levels need chain dimension {n_dim}"
-            f" ({n_dim * level_count} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
+            f"{levels:.3g} levels need chain dimension {size:.3g}"
+            f" ({size * levels:.3g} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
             f" or {MAX_CHAIN_WORK} sites x levels"
         )
+    n_dim = int(size)
     full = build_chain(params, chain, n_dim + 1)
     bottom, top = full.gershgorin()
     allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))

@@ -76,8 +76,7 @@ class ModelParams:
 
     This is a plain carrier; :func:`derive_params` is the validated
     constructor and guarantees the algebraic relations between the fields:
-    ``omega = sqrt(1 - 4 g^2)``, ``tanh(4 lam) = 2 g``,
-    ``gamma = tanh(2 lam)/2``, ``beta = -log(cosh(2 lam))`` and
+    ``omega = sqrt(1 - 4 g^2)``, ``tanh(4 lam) = 2 g`` and
     ``a_phase = arctan(omega / (2 g))``.
     """
 
@@ -85,13 +84,11 @@ class ModelParams:
     delta: float
     omega: float
     lam: float
-    gamma: float
-    beta: float
     a_phase: float
 
 
 def derive_params(g: float, delta: float) -> ModelParams:
-    """Derive all squeeze/asymptotics constants from the couplings.
+    """Derive the squeeze and asymptotics constants from the couplings.
 
     The squeeze parameter solves tanh(4 lam) = 2 g and is evaluated in the
     closed form lam = artanh(2 g)/4 = (log1p(2g) - log1p(-2g))/8, which is
@@ -110,12 +107,8 @@ def derive_params(g: float, delta: float) -> ModelParams:
         raise DomainError(f"level splitting delta={delta!r} must be finite")
     lam = (math.log1p(2.0 * g) - math.log1p(-2.0 * g)) / 8.0
     omega = math.sqrt((1.0 - 2.0 * g) * (1.0 + 2.0 * g))
-    gamma = math.tanh(2.0 * lam) / 2.0
-    beta = -math.log(math.cosh(2.0 * lam))
     a_phase = math.atan2(omega, 2.0 * g)
-    return ModelParams(
-        g=g, delta=delta, omega=omega, lam=lam, gamma=gamma, beta=beta, a_phase=a_phase
-    )
+    return ModelParams(g=g, delta=delta, omega=omega, lam=lam, a_phase=a_phase)
 
 
 @dataclass(frozen=True)
@@ -186,7 +179,8 @@ def build_full_branch(params: ModelParams, branch: Branch, n_dim: int) -> np.nda
     The oracle for the parity split: its spectrum at even n_dim equals the
     union of the two chain spectra at dimension n_dim/2 exactly, because the
     split is a permutation similarity of the truncated matrix.  At Delta = 0
-    it is the H0 of :func:`rabi_spectra.squeeze.h0_transform_residual`.
+    its first n_dim/4 rows are the H0 rows of the eigen-equation H0 U = U D
+    in :func:`rabi_spectra.squeeze.h0_transform_residual`.
     """
     if n_dim < 4:
         raise ValueError("n_dim must be at least 4")

@@ -353,7 +353,7 @@ def residual_study(
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
-    needed = {n % 2 for n in range(n_min, n_max + 1)}
+    needed = {n % 2 for n in range(n_min, min(n_max, n_min + 1) + 1)}
     spectra: dict[int, Spectrum] = {}
     for parity in (Parity.EVEN, Parity.ODD):
         p = parity.offset

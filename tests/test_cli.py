@@ -124,8 +124,18 @@ class TestSpectrum:
             ["spectrum", "--g", "0.01", "--levels", "800000"],
             ["spectrum", "--levels", "200000"],
             ["residuals", "--n-max", "100000"],
+            # The turning point overflows to inf.
+            ["spectrum", "--g", "0.4999999999999999", "--delta", "1e295"],
+            # The level count does not fit a double.
+            ["spectrum", "--levels", "1" + "0" * 400],
+            ["residuals", "--n-max", "100000000"],
+            # The size has about 300 digits.
+            ["spectrum", "--delta", "1e300"],
         ],
-        ids=["spectrum-g0.01", "spectrum", "residuals"],
+        ids=[
+            "spectrum-g0.01", "spectrum", "residuals", "spectrum-inf-size",
+            "spectrum-levels-1e400", "residuals-1e8", "spectrum-delta-1e300",
+        ],
     )
     def test_work_budget_exit_3_fast(self, tmp_path, monkeypatch, capsys, argv):
         import rabi_spectra.eigensolve as eigensolve
@@ -137,8 +147,10 @@ class TestSpectrum:
         start = time.monotonic()
         code = run_cli(argv, tmp_path)
         elapsed = time.monotonic() - start
+        err = capsys.readouterr().err
         assert code == 3
-        assert "sites x levels" in capsys.readouterr().err
+        assert "sites x levels" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err) < 200, err
         assert elapsed < 1.0
 
     def test_tol_below_floor_exit_2(self, tmp_path, capsys):
@@ -255,7 +267,7 @@ class TestVerify:
         code = run_cli(["verify", "--suite", "all", "--g", g], tmp_path)
         out, err = capsys.readouterr()
         assert code in (0, 1), err
-        assert len(re.findall(r"^\w+: \S+ < \S+ (?:PASS|FAIL)$", out, re.M)) == 13, out
+        assert len(re.findall(r"^\w+: \S+ < \S+ (?:PASS|FAIL)$", out, re.M)) == 12, out
         assert not re.search(r"(?:inf|nan) < \S+ PASS", out), out
         assert err == ""
 
@@ -267,7 +279,6 @@ class TestVerify:
             "h0_transform_residual",
             "uvu_residual",
             "oracle_orthogonality",
-            "phase_integral_closed_form",
             "p_fast_vs_hyper_f_rel",
             "hypergeometric_identity",
             "asym_decay_inverse_ratio_even",
@@ -277,6 +288,14 @@ class TestVerify:
             "delta_n_vs_bruteforce",
             "diag_asym_scaled_residual",
         ]
+
+    # The H0 check failed here at 6.1e-5, 6.1e-5 and 1.7e-6 on a block of its own.
+    @pytest.mark.parametrize("g, dim", [("0.45", "64"), ("0.45", "63"), ("0.47", "128")])
+    def test_squeeze_suite_passes_at_small_truncation(self, tmp_path, capsys, g, dim):
+        code = run_cli(["verify", "--suite", "squeeze", "--g", g, "--dim", dim], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert re.search(r"^h0_transform_residual: \S+ < 1\.0e-06 PASS$", out, re.M), out
 
     @pytest.mark.filterwarnings("error")
     def test_huge_delta_exit_1(self, tmp_path, capsys):

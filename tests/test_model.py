@@ -26,10 +26,7 @@ EPS = np.finfo(float).eps
 
 def zero_coupling_params(delta: float) -> ModelParams:
     """Carrier with g = 0 for decoupling tests (bypasses the domain gate)."""
-    return ModelParams(
-        g=0.0, delta=delta, omega=1.0, lam=0.0, gamma=0.0, beta=0.0,
-        a_phase=math.pi / 2.0,
-    )
+    return ModelParams(g=0.0, delta=delta, omega=1.0, lam=0.0, a_phase=math.pi / 2.0)
 
 
 class TestDeriveParams:
@@ -37,8 +34,6 @@ class TestDeriveParams:
         p = derive_params(1e-9, 1.0)
         assert p.lam == pytest.approx(0.0, abs=1e-8)
         assert p.omega == pytest.approx(1.0, abs=1e-12)
-        assert p.gamma == pytest.approx(0.0, abs=1e-8)
-        assert p.beta == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda_against_high_precision_artanh(self):
         p = derive_params(0.3, 1.0)
@@ -61,8 +56,6 @@ class TestDeriveParams:
         # The derived constants at doubled argument collapse to g and omega.
         assert abs(math.tanh(4.0 * p.lam) / 2.0 - g) <= 8 * EPS
         assert abs(1.0 / math.cosh(4.0 * p.lam) - p.omega) <= 8 * EPS * max(1.0, 1.0 / p.omega)
-        assert p.gamma == pytest.approx(math.tanh(2 * p.lam) / 2, abs=2 * EPS)
-        assert p.beta == pytest.approx(-math.log(math.cosh(2 * p.lam)), abs=2 * EPS)
         assert p.a_phase == pytest.approx(math.atan2(p.omega, 2 * g), abs=2 * EPS)
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 0.6, -0.1, float("nan")])

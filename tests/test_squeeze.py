@@ -167,6 +167,19 @@ class TestH0Transform:
     def test_strong_coupling(self):
         assert h0_transform_residual(256, 0.4) < 1e-6
 
+    # The old block min(n_dim/4, n_dim/(2 e^{4 lam})) read 6.1e-5, 6.1e-5 and
+    # 1.7e-6 here, where the factorization block on the same truncation passes.
+    @pytest.mark.parametrize("n_dim, g", [(64, 0.45), (63, 0.45), (128, 0.47)])
+    def test_small_truncation_strong_coupling(self, n_dim, g):
+        assert h0_transform_residual(n_dim, g) < 1e-6
+
+    def test_detects_one_wrong_oracle_entry(self, monkeypatch):
+        n_dim, g = 256, 0.2
+        wrong = u_matrix_oracle(n_dim, derive_params(g, 0.0).lam).copy()
+        wrong[10, 8] += 1e-6
+        monkeypatch.setattr(squeeze, "u_matrix_oracle", lambda *args: wrong)
+        assert h0_transform_residual(n_dim, g) > 1e-6
+
 
 class TestUVU:
     def test_zero_delta(self):
@@ -187,3 +200,5 @@ def test_empty_certified_block_rejected(n_dim):
         factorization_residual(n_dim, 0.1)
     with pytest.raises(ValueError, match=r"\[4, 512\]"):
         uvu_residual(n_dim, 0.1, 1.0)
+    with pytest.raises(ValueError, match=r"\[4, 512\]"):
+        h0_transform_residual(n_dim, 0.1)
