@@ -113,7 +113,7 @@ def v_tilde(m: int, n: int, params: ModelParams) -> float:
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m > MAX_ELEMENT_INDEX or n > MAX_ELEMENT_INDEX:
-        raise ValueError(f"indices exceed the configured log-space range {MAX_ELEMENT_INDEX}")
+        raise ValueError(f"indices exceed the configured range {MAX_ELEMENT_INDEX}")
     if params.delta == 0.0:
         return 0.0
     return (params.delta / 2.0) * (-1.0) ** (m // 2) * _element(m, n, 2.0 * params.g, params.omega)

@@ -8,8 +8,9 @@ Three evaluation routes are provided and cross-validated:
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
   sum cancels catastrophically for large degree (sum|T_k| / |P| grows
   roughly like e^{0.27 n} at the model's evaluation point), so it is summed
-  exactly in integers at the (dyadic rational) double argument and only the
-  logarithm of the result is rounded;
+  in integers at the (dyadic rational) double argument, floored to a working
+  precision under an exact running error bound that certifies 64 bits, and
+  only the logarithm of the result is rounded;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
@@ -57,26 +58,39 @@ class TurningPointError(ValueError):
     """Phase integrand would become imaginary inside the integration interval."""
 
 
-def _exact_sum(n: int, s: int, x: Fraction) -> tuple[int, int]:
-    """Integers (w, d) with P_n^{(s)}(x) = w / d exactly, d > 0.
+def _exact_sum(n: int, s: int, x: Fraction, bits: int | None = None) -> tuple[int, int, int, int]:
+    """Integers (w, err, shift, d) with |P_n^{(s)}(x) d / 2^shift - w| <= err, d > 0.
 
     With x = u/v and K = n // 2, d = v^n (s+K)! and w = sum_k (-1)^k d_k
     (2u)^{n-2k}, where d_k = n! (s+K)! v^{2k} / (k! (n-2k)! (s+k)!) are
     integers reached from d_0 = (s+K)!/s! by exact small-factor steps, and
-    the sum runs by Horner's rule in (2u)^2.
+    the sum runs by Horner's rule in (2u)^2.  With ``bits`` None it is exact
+    (err = shift = 0).  Otherwise, whenever the sum or the coefficient grows
+    64 bits past ``bits``, both are floored by one right shift, and err and
+    cerr bound their errors in units of 2^shift: Horner's rule with a running
+    error bound (Higham, *Accuracy and Stability*, sec. 5.1), in integers.
     """
     u, v = x.numerator, x.denominator
     half = n // 2
     coeff = math.perm(s + half, half)
     y = 4 * u * u
     v2 = v * v
-    acc = 0
+    acc = err = cerr = shift = 0
+    limit = math.inf if bits is None else bits + 64
     for k in range(half + 1):
         acc = acc * y + (-coeff if k % 2 else coeff)
-        coeff = coeff * v2 * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (s + k + 1))
+        step, div = v2 * (n - 2 * k) * (n - 2 * k - 1), (k + 1) * (s + k + 1)
+        coeff, rem = divmod(coeff * step, div)
+        if shift:  # err and cerr stay 0 until the first floor
+            err, cerr = err * y + cerr, -(-cerr * step // div) + (rem != 0)
+        top = max(acc.bit_length(), coeff.bit_length())
+        if top > limit:
+            r = top - bits
+            acc, coeff, shift = acc >> r, coeff >> r, shift + r
+            err, cerr = (err >> r) + 2, (cerr >> r) + 2
     if n % 2:
-        acc *= 2 * u
-    return acc, v**n * math.factorial(s + half)
+        acc, err = acc * 2 * u, err * abs(2 * u)
+    return acc, err, shift, v**n * math.factorial(s + half)
 
 
 def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
@@ -85,7 +99,8 @@ def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
         raise ValueError("indices must be non-negative")
     if n > MAX_EXACT_DEGREE:
         raise ValueError(f"exact evaluation guarded to degree {MAX_EXACT_DEGREE}")
-    return Fraction(*_exact_sum(n, s, Fraction(x)))
+    w, _, _, d = _exact_sum(n, s, Fraction(x))
+    return Fraction(w, d)
 
 
 def _signed_exp(sign: float, log_abs: float) -> float:
@@ -99,7 +114,7 @@ def _signed_exp(sign: float, log_abs: float) -> float:
 class PolyValue:
     """Sign / log-magnitude decomposition of a polynomial value.
 
-    ``escalated`` (the value came from the exact integer sum) is always
+    ``escalated`` (the value came from the certified integer sum) is always
     True, since that sum is the only route; it stays because the benchmark
     tracer, ``perfbench/tracing.py``, counts it.  ``value`` overflows to
     +-inf for log_abs > ~709.
@@ -134,8 +149,10 @@ def _log_ratio(w: int, d: int) -> float:
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
 
-    Read from the exact integer sum at x taken as a binary fraction, so the
-    only rounding is that of the final logarithm.
+    Read from the integer sum at x taken as a binary fraction, at 192 + n/2
+    bits, doubled until the error bound certifies 64 bits of |P| and of
+    |P| - 1 (the logarithm's relative accuracy near |P| = 1).  Doubling ends
+    at the exact sum, which alone returns a zero; the log is rounded once.
 
     Raises:
         ValueError: for a negative index, a degree above MAX_ELEMENT_INDEX
@@ -144,14 +161,20 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
     if n > MAX_ELEMENT_INDEX:
-        raise ValueError(f"degree {n} exceeds the configured range {MAX_ELEMENT_INDEX}")
+        size = float(n) if n < 1e308 else math.inf  # float(n) overflows past that
+        raise ValueError(f"degree {size:.3g} exceeds the configured range {MAX_ELEMENT_INDEX}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument x={x!r} must be finite")
-    w, d = _exact_sum(n, s, Fraction(x))
-    if w == 0:
-        return PolyValue(0.0, -math.inf)
-    return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(abs(w), d))
+    x, bits = Fraction(x), 192 + n // 2
+    while True:
+        w, err, shift, d = _exact_sum(n, s, x, bits)
+        if w == 0 and err == 0:
+            return PolyValue(0.0, -math.inf)
+        mag = abs(w) << shift
+        if err <= abs(w) >> 64 and err << 64 <= abs(mag - d) >> shift:
+            return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(mag, d))
+        bits *= 2
 
 
 def p_fast(n: int, s: int, x: float) -> float:

@@ -118,17 +118,17 @@ def _element(m: int, n: int, t: float, c: float) -> float:
 
     (P of :mod:`rabi_spectra.polys`, in log-magnitude + sign form), and
     U_{m,n} = (-1)^{(n-m)/2} U_{n,m} for m < n; elements across parities
-    vanish.  ``p_fast_parts`` sums P exactly, but at c/t rounded once to
-    double, so next to a node of P the element is off by up to 3.1e-11
-    relative (V~ at g = 0.2, (m, n) = (453, 405)); checks of a row against
-    it cannot be tighter there.  The factors are summed as logarithms, which
-    adds about eps (n+s) |ln(t/2)| relative: up to 1.5e-11 for indices below
-    128 at g = 1e-300, where |ln(t/2)| is near 690.
+    vanish.  ``p_fast_parts`` sums P to a certified 2^-64 relative, but at
+    c/t rounded once to double, so next to a node of P the element is off by
+    up to 3.1e-11 relative (V~ at g = 0.2, (m, n) = (453, 405)); checks of a
+    row against it cannot be tighter there.  The factors are summed as
+    logarithms, which adds about eps (n+s) |ln(t/2)| relative: up to 1.5e-11
+    for indices below 128 at g = 1e-300, where |ln(t/2)| is near 690.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m > MAX_ELEMENT_INDEX or n > MAX_ELEMENT_INDEX:
-        raise ValueError(f"indices exceed the configured log-space range {MAX_ELEMENT_INDEX}")
+        raise ValueError(f"indices exceed the configured range {MAX_ELEMENT_INDEX}")
     if (m - n) % 2:
         return 0.0
     if t == 0.0:
@@ -154,7 +154,7 @@ def u_element(m: int, n: int, lam: float) -> float:
 
     Raises:
         ValueError: for a negative index or one above the configured
-            log-space range (default 10^5), or unless |lam| <= 354, where
+            range (default 10^5), or unless |lam| <= 354, where
             1/cosh(2 lam) is still a normal double.
     """
     if not abs(lam) <= 354.0:  # also NaN

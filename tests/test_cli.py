@@ -395,6 +395,16 @@ class TestPoly:
         assert "100000" in err and "Traceback" not in err
         assert elapsed < 1.0
 
+    def test_huge_degree_message_is_short(self, tmp_path, capsys):
+        # A 400-digit degree: the budget message gives it to 3 significant
+        # digits, past the double range too, instead of echoing every digit.
+        huge = "1" + "0" * 400
+        code = run_cli(["poly", "--n", huge, "--m", huge], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "100000" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err) < 200, err
+
     def test_degree_1000_table_completes(self):
         # A subprocess with a timeout, so that a hang fails instead of
         # stalling the suite.

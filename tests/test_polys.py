@@ -190,6 +190,74 @@ class TestFast:
             )
 
 
+def _working_precision_grid():
+    """Seeded (n, s, x) cases of the truncated kernel, special points first.
+
+    x = +-0.0 at degrees past the truncation size of both parities, the
+    dyadic zero P_2^(1)(0.5), x = 1e+-300 (at n < 200, where the exact sum
+    has up to 2000 n bits), and negative x at odd degree.
+    """
+    cases = [(2, 1, 0.5), (601, 3, 0.0), (601, 3, -0.0), (600, 3, 0.0), (600, 3, -0.0)]
+    special = [0.0, -0.0, 0.5, 1.0, 2.0, 1e300, -1e300, 1e-300, -1e-300, MODEL_X, -MODEL_X]
+    rng = np.random.default_rng(20240611)
+    while len(cases) < 1500:
+        n, s = int(rng.integers(0, 400)), int(rng.integers(0, 40))
+        if rng.random() < 0.3:
+            x = special[int(rng.integers(len(special)))]
+            if abs(x) in (1e300, 1e-300):
+                n //= 2
+        else:
+            x = float(rng.uniform(-5.0, 5.0))
+        cases.append((n, s, x))
+    return cases
+
+
+WORKING_PRECISION_GRID = _working_precision_grid()
+
+
+@pytest.fixture(scope="class")
+def exact_routes():
+    """The unfloored kernel at each grid case, computed once for the class."""
+    from rabi_spectra.polys import _exact_sum
+
+    return [_exact_sum(n, s, Fraction(x)) for n, s, x in WORKING_PRECISION_GRID]
+
+
+class TestWorkingPrecision:
+    """The certified truncation of the integer kernel against its exact route."""
+
+    def test_fast_parts_match_exact_route(self, exact_routes):
+        from rabi_spectra.polys import _log_ratio
+
+        for (n, s, x), (w, _, _, d) in zip(WORKING_PRECISION_GRID, exact_routes):
+            parts = p_fast_parts(n, s, x)
+            if w == 0:
+                assert (parts.sign, parts.log_abs) == (0.0, -math.inf), (n, s, x)
+                continue
+            assert parts.sign == (1.0 if w > 0 else -1.0), (n, s, x)
+            ref = _log_ratio(abs(w), d)
+            assert abs(parts.log_abs - ref) <= math.ulp(ref), (n, s, x)
+
+    @pytest.mark.parametrize("start", ["tiny", "production"])
+    def test_error_bound_holds(self, start, exact_routes):
+        # |w_exact - w 2^shift| <= err 2^shift, both at the production start
+        # and at a 16-bit working precision, where nearly every step floors.
+        from rabi_spectra.polys import _exact_sum
+
+        for (n, s, x), (exact, _, _, d_exact) in zip(WORKING_PRECISION_GRID, exact_routes):
+            bits = 16 if start == "tiny" else 192 + n // 2
+            w, err, shift, d = _exact_sum(n, s, Fraction(x), bits)
+            assert d == d_exact
+            assert abs(exact - (w << shift)) <= err << shift, (n, s, x, bits)
+
+    def test_odd_degree_at_zero_is_an_exact_zero_after_floors(self):
+        # The factor |2u| = 0 clears the bound too, so one pass decides.
+        from rabi_spectra.polys import _exact_sum
+
+        w, err, shift, _ = _exact_sum(601, 3, Fraction(0), 16)
+        assert (w, err) == (0, 0) and shift > 0
+
+
 class TestHyperF:
     def test_empty_product(self):
         for m in (0, 3, 9):

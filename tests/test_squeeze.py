@@ -150,7 +150,7 @@ class TestFactorization:
         lam = derive_params(0.45, 1.0).lam
         assert factorization_residual(256, lam) < 1e-7
 
-    @pytest.mark.parametrize("n_dim, g", [(64, 1e-300), (512, 0.45)])
+    @pytest.mark.parametrize("n_dim, g", [(64, 1e-300), (512, 1e-300), (512, 0.45)])
     def test_tiny_and_largest_block(self, n_dim, g):
         # Tiny g: x = c/t near 5e299, where the log-space assembly of
         # _element rounds about eps (n+s) |ln(t/2)|.  Dim 512: the 128x128 block.
