@@ -6,7 +6,9 @@ an oracle for the other:
 * Sturm-sequence multisection on symmetric tridiagonal matrices (the
   production path): each sweep counts up to ``_SWEEP_SHIFTS`` shifts spread
   over the eigenvalue brackets, so few brackets shrink by a large factor per
-  sweep and many brackets are bisected, and
+  sweep and many brackets are bisected; a sweep stops at the chain's
+  count-free tail, past the top shift's turning point, once a scalar pivot
+  run proves that no shift gains a count there, and
 * LAPACK's dense symmetric eigensolver (``numpy.linalg.eigvalsh``) on small
   matrices.
 
@@ -19,13 +21,16 @@ inequality or min-max and, from below, by one Sturm count of the truncation
 with its last diagonal lowered by the dropped coupling (a rank-one split
 whose tail lies above a closed-form floor), each up to one rounding
 allowance from the backward error of the Sturm count.  One chain is built
-per certificate, after a work budget of sites x levels is checked.
+per certificate, after a work budget of sites x levels is checked.  Since a
+sweep's early stop leaves every count as the full sweep's, the brackets,
+the certificate and its allowance are those of a full sweep.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,20 +108,50 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     b_{i-1}^2 = 0 (i = 0, a zero coupling, or one whose square underflows)
     the divide is skipped and the pivot restarts at d_i - x, so 0/0 never
     occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.
+
+    The sweep ends at a block boundary j once the rest of the chain is
+    proved count-free for every shift.  With X = max(xs) and theta = min over
+    shifts of q_{j-1}, the proof is the scalar run p_i = (d_i - X) -
+    b_{i-1}^2 / p_{i-1} from p_{j-1} = theta in Python floats, with the
+    sweep's rounded b^2, its operations and its skips, staying > 0 to the
+    last site.  Each IEEE operation is monotone in each argument, so by
+    induction every computed q_i(x) of a shift x <= X is at least p_i > 0
+    (theta > 0 wherever b_{j-1}^2 != 0 lets the first step read it), and the
+    counts equal the full sweep's bit for bit (Kahan 1966; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 10).  The run is made once per call,
+    at the first boundary where every row i >= j of T - X is strictly
+    diagonally dominant and theta >= |b_{j-1}|: there every exact p_i
+    exceeds |b_i|, so only rounding can fail the run, and its cost stays
+    linear in the chain.
     """
     xs = np.asarray(xs, dtype=float)
     off_sq = np.concatenate([[0.0], t.off**2])
     q = np.empty(xs.shape)
     ratio = np.empty(xs.shape)
     pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size))
+    rows = list(pivots)
     count = np.zeros(xs.shape, dtype=np.int64)
+    top = float(xs.max(initial=-math.inf))
+    # Rows from `gate` on are strictly diagonally dominant in T - top.
+    dominated = np.flatnonzero(t.diag - t.radius() <= top)
+    gate = int(dominated[-1]) + 1 if dominated.size else 1
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, t.n, _SWEEP_BLOCK):
+            if start >= gate:
+                theta = float(q.min(initial=math.inf))
+                if theta >= abs(t.off[start - 1]):
+                    # One scalar run per call keeps the check's cost linear.
+                    gate = t.n
+                    # Memoryviews yield Python floats one at a time: lists of
+                    # the tail raised the peak resident set by about 0.1 MB.
+                    tail = memoryview(t.diag[start:] - top)
+                    if _count_free(tail, memoryview(off_sq[start:]), theta):
+                        break
             block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
-            np.subtract(t.diag[start : start + block.shape[0], None], xs, out=block)
+            np.subtract(t.diag[start : start + block.shape[0], None], xs, block)
             prev = q
             # Outputs go positionally: the out= keyword costs a parse per call.
-            for b_sq, row in zip(off_sq[start:], block):
+            for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
                 if b_sq:
                     np.divide(b_sq, prev, ratio)
                     np.subtract(row, ratio, row)
@@ -125,6 +160,15 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
             # The next block overwrites the buffer, so its last pivot is copied out.
             np.copyto(q, prev)
     return count
+
+
+def _count_free(shifted: Iterable[float], off_sq: Iterable[float], p: float) -> bool:
+    """True if the pivots p = (d_i - X) - b_{i-1}^2 / p from ``p`` stay > 0; ``shifted`` yields d_i - X."""
+    for s, b_sq in zip(shifted, off_sq):
+        p = s - b_sq / p if b_sq else s
+        if not p > 0:
+            return False
+    return True
 
 
 def sturm_count(t: SymTriMatrix, x: float) -> int:

@@ -140,11 +140,16 @@ class SymTriMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    def gershgorin(self) -> tuple[float, float]:
-        """Ends (lo, hi) of the Gershgorin interval, which holds every eigenvalue."""
+    def radius(self) -> np.ndarray:
+        """Gershgorin radius |b_{i-1}| + |b_i| of each row."""
         radius = np.zeros(self.n)
         radius[:-1] += np.abs(self.off)
         radius[1:] += np.abs(self.off)
+        return radius
+
+    def gershgorin(self) -> tuple[float, float]:
+        """Ends (lo, hi) of the Gershgorin interval, which holds every eigenvalue."""
+        radius = self.radius()
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
     def to_dense(self) -> np.ndarray:

@@ -133,6 +133,70 @@ class TestSturmCount:
         assert sturm_count(t, float(np.max(t.diag + radius)) + 1e-9) == 40
 
 
+def full_sweep_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
+    """Negative pivots over every site: the sweep's recurrence and skips, with no exit."""
+    count = np.zeros(xs.shape, dtype=np.int64)
+    q = np.empty(xs.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        for d, b_sq in zip(t.diag, np.concatenate([[0.0], t.off**2])):
+            q = (d - xs) - b_sq / q if b_sq else d - xs
+            count += np.signbit(q)
+    return count
+
+
+def shift_sets(t: SymTriMatrix, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Shifts over the whole Gershgorin interval, its bottom tenth, the diagonal, +-inf, one, none."""
+    lo, hi = t.gershgorin()
+    tenth = lo + 0.1 * (hi - lo)
+    return {
+        "gershgorin": np.concatenate([[lo, hi], rng.uniform(lo, hi, 62)]),
+        "bottom-tenth": np.concatenate([[tenth], rng.uniform(lo, tenth, 255)]),
+        "diagonal": t.diag.copy(),
+        "infinite": np.array([-math.inf, math.inf]),
+        "single": np.array([lo + 0.05 * (hi - lo)]),
+        "empty": np.empty(0),
+    }
+
+
+class TestCountFreeTail:
+    """The sweep's exit at a count-free tail leaves every count as the full sweep's."""
+
+    @pytest.mark.parametrize("g", [1e-300, 0.01, 0.2, 0.45, 0.499])
+    def test_counts_equal_full_sweep(self, g):
+        rng = np.random.default_rng(int(1000 * g) + 21)
+        for delta, parity, n in itertools.product(
+            [0.0, 1.0, -6.0, 1e3], Parity, [2, 17, 48, 161, 700, 2000]
+        ):
+            t = build_chain(derive_params(g, delta), ChainSelector(Branch.PLUS, parity), n)
+            sets = shift_sets(t, rng)
+            # One reference sweep over every set at once.
+            expected = full_sweep_counts(t, np.concatenate(list(sets.values())))
+            for name, xs in sets.items():
+                np.testing.assert_array_equal(
+                    _sturm_counts(t, xs), expected[: xs.size], err_msg=f"{delta=} {parity} {n=} {name}"
+                )
+                expected = expected[xs.size :]
+
+    def test_exit_fires_past_the_top_shift(self, monkeypatch):
+        t = build_chain(derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 2000)
+        lo, hi = t.gershgorin()
+        low = np.linspace(lo, lo + 0.1 * (hi - lo), 50)
+        expected = full_sweep_counts(t, low)
+        divide, divides = np.divide, [0]
+
+        def counting(*args):
+            divides[0] += 1
+            return divide(*args)
+
+        # Each swept site past the first divides once: every coupling is nonzero.
+        monkeypatch.setattr(np, "divide", counting)
+        np.testing.assert_array_equal(_sturm_counts(t, low), expected)
+        assert 0 < divides[0] < t.n // 2
+        divides[0] = 0
+        assert sturm_count(t, hi + 1.0) == t.n
+        assert divides[0] == t.n - 1
+
+
 class TestBisection:
     def test_two_by_two_closed_form(self):
         g = 0.25
