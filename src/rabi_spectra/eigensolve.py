@@ -20,7 +20,10 @@ bracket encloses the level of the infinite chain from above by Weyl's
 inequality or min-max and, from below, by one Sturm count of the truncation
 with its last diagonal lowered by the dropped coupling (a rank-one split
 whose tail lies above a closed-form floor), each up to one rounding
-allowance from the backward error of the Sturm count.  One chain is built
+allowance from the backward error of the Sturm count.  Where bisection would
+take many sweeps, a bracket is set around a Newton guess on log|det(T_N - x)|
+(Li and Zeng 1994) and proved by the same counts, its upper end by one of T_N;
+a level that fails either count is bisected.  One chain is built
 per certificate, after a work budget of sites x levels is checked.  Since a
 sweep's early stop leaves every count as the full sweep's, the brackets,
 the certificate and its allowance are those of a full sweep.
@@ -56,6 +59,9 @@ _PATHS = ("direct", "a_posteriori")
 _SWEEP_BLOCK = 16
 # Shifts per Sturm sweep of _bisect, shared out among the brackets.
 _SWEEP_SHIFTS = 512
+# Newton sweeps of converged_levels, and their cost in Sturm sweeps (one costs 2.1-3.2).
+_NEWTON_SWEEPS = 5
+_NEWTON_COST = 3 * _NEWTON_SWEEPS
 
 
 class ConvergenceError(RuntimeError):
@@ -171,6 +177,35 @@ def _count_free(shifted: Iterable[float], off_sq: Iterable[float], p: float) -> 
     return True
 
 
+def _det_slopes(t: SymTriMatrix, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Slope G(x) = sum_i q_i'/q_i of log|det(T - x)| at each shift in ``xs``.
+
+    Next to each pivot q_i of :func:`_sturm_counts` its derivative is
+    q_i' = r_i (q'/q)_{i-1} - 1, r_i = b_{i-1}^2 / q_{i-1}.  ``work`` (2 x rows
+    x xs.size) holds blocks of pivots and of ratios; a zero pivot makes G inf or NaN.
+    """
+    off_sq = np.concatenate([[0.0], t.off**2])
+    # q = 1 and q'/q = 0 before the first site, so b_{-1}^2 = 0 needs no branch.
+    q, s, ratio, total = np.ones(xs.shape), np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
+    rows = list(zip(*work))
+    for start in range(0, t.n, len(rows)):
+        size = min(len(rows), t.n - start)
+        np.subtract(t.diag[start : start + size, None], xs, work[0, :size])
+        prev_q, prev_s = q, s
+        for b_sq, (row_q, row_s) in zip(off_sq[start : start + size].tolist(), rows):
+            np.divide(b_sq, prev_q, ratio)
+            np.subtract(row_q, ratio, row_q)
+            np.multiply(ratio, prev_s, row_s)
+            np.subtract(row_s, 1.0, row_s)
+            np.divide(row_s, row_q, row_s)
+            prev_q, prev_s = row_q, row_s
+        total += work[1, :size].sum(axis=0)
+        # The next block overwrites the buffers, so its last pivot and ratio are copied out.
+        np.copyto(q, prev_q)
+        np.copyto(s, prev_s)
+    return total
+
+
 def sturm_count(t: SymTriMatrix, x: float) -> int:
     """Count eigenvalues of ``t`` strictly less than ``x``.
 
@@ -183,12 +218,12 @@ def sturm_count(t: SymTriMatrix, x: float) -> int:
 
 
 def _bisect(
-    t: SymTriMatrix, lo: np.ndarray, hi: np.ndarray, tol: float
+    t: SymTriMatrix, lo: np.ndarray, hi: np.ndarray, tol: float, ks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink brackets of the lowest ``lo.size`` eigenvalues to width <= tol by multisection.
+    """Shrink brackets of eigenvalues ``ks`` (default: the lowest lo.size) to width <= tol by multisection.
 
-    Bracket k holds the k-th eigenvalue if count(lo_k) <= k < count(hi_k).
-    Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // k)
+    Bracket j holds eigenvalue k = ks_j if count(lo_j) <= k < count(hi_j).
+    Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // lo.size)
     equally spaced interior points of every bracket at once (Simon, "Bisection
     is not optimal on vector processors", 1989) and cuts the bracket to the
     sub-interval where the count crosses k, a factor pts + 1 narrower; with
@@ -202,6 +237,7 @@ def _bisect(
     """
     k = lo.size
     idx = np.arange(k)
+    ks = idx if ks is None else ks
     pts = max(1, _SWEEP_SHIFTS // k)
     # Offsets from the midpoint, so that pts = 1 sweeps at 0.5 (lo + hi) exactly.
     offsets = np.arange(1, pts + 1) / (pts + 1) - 0.5
@@ -214,7 +250,7 @@ def _bisect(
         xs = (0.5 * (lo + hi))[:, None] + (hi - lo)[:, None] * offsets
         # A bracket a few ulps wide can round a point just past one of its ends.
         np.clip(xs, lo[:, None], hi[:, None], out=xs)
-        below = _sturm_counts(t, xs.ravel()).reshape(k, pts) <= idx[:, None]
+        below = _sturm_counts(t, xs.ravel()).reshape(k, pts) <= ks[:, None]
         run = np.logical_and.accumulate(below, axis=1).sum(axis=1)
         grid = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
         lo, hi = grid[idx, run], grid[idx, run + 1]
@@ -322,6 +358,12 @@ def converged_levels(
 
     A bracket collapses onto a wrong start end, so the count of T' or the
     bound rejects its level: ConvergenceError, never a wrong certificate.
+    Newton levels: above ``_SWEEP_SHIFTS // 2`` levels, where bisection's
+    halvings log2(start width / (tol - a)) exceed ``_NEWTON_COST``, guess x_k
+    is ``_NEWTON_SWEEPS`` Newton steps on log|det(T_N - x)| from mu_k, each
+    clipped to the Weyl bracket.  Level k keeps x_k -+ (tol - a)/4 if an
+    explicit count(T_N, hi_k) > k proves its upper end and its lower end
+    passes; other levels are bisected, with their absolute indices, as above.
     A computed Sturm count is the exact count of T + E with |E_ii| <= eps
     |d_i - x| and off-diagonals off by at most 2.5 eps relative (Kahan 1966;
     Demmel, Applied Numerical Linear Algebra, sec. 5.3), so
@@ -361,15 +403,32 @@ def converged_levels(
     allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))
     if tol < 2.0 * allowance:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")
-    mu = params.omega * (2 * np.arange(level_count) + chain.parity.offset + 0.5) - 0.5
+    ks = np.arange(level_count)
+    mu = params.omega * (2 * ks + chain.parity.offset + 0.5) - 0.5
     t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-    lo, hi = _bisect(t, mu - (spread + tol), mu + (spread + tol), tol - allowance)
-    values = 0.5 * (lo + hi)
-    bounds = 0.5 * (hi - lo) + allowance
     lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
     n0 = 2 * n_dim + chain.parity.offset
     tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread - allowance
-    enclosed = (lo < tail_floor) & (_sturm_counts(lowered, lo) <= np.arange(level_count))
+    width = tol - allowance
+    lo, hi = mu - (spread + tol), mu + (spread + tol)
+    enclosed = np.zeros(level_count, dtype=bool)
+    if level_count > _SWEEP_SHIFTS // 2 and math.log2(2.0 * (spread + tol) / width) > _NEWTON_COST:
+        x, work = mu, np.empty((2, _SWEEP_BLOCK, level_count))
+        with np.errstate(all="ignore"):
+            for _ in range(_NEWTON_SWEEPS):
+                # A NaN step lands on hi, since np.fmin drops NaN.
+                x = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x, work)))
+        del work  # kept through the counts below, it raised the peak resident set by 0.1 MB
+        lo_x, hi_x = x - width / 4.0, x + width / 4.0
+        enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
+        enclosed &= _sturm_counts(lowered, lo_x) <= ks
+        lo, hi = np.where(enclosed, lo_x, lo), np.where(enclosed, hi_x, hi)
+    bad = ~enclosed
+    if bad.any():
+        lo[bad], hi[bad] = _bisect(t, lo[bad], hi[bad], width, ks[bad])
+        enclosed[bad] = (lo[bad] < tail_floor) & (_sturm_counts(lowered, lo[bad]) <= ks[bad])
+    values = 0.5 * (lo + hi)
+    bounds = 0.5 * (hi - lo) + allowance
     certified = enclosed & (bounds < tol)
     if not certified.all():
         k = int(np.argmin(certified))

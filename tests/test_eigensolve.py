@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -23,8 +24,10 @@ from rabi_spectra import (
 )
 from rabi_spectra import eigensolve
 from rabi_spectra.eigensolve import (
+    _NEWTON_SWEEPS,
     _SWEEP_SHIFTS,
     _bisect,
+    _det_slopes,
     _first_truncation,
     _sturm_counts,
 )
@@ -292,6 +295,19 @@ def sweep_counter(monkeypatch):
 
 
 @pytest.fixture
+def slope_counter(monkeypatch):
+    """Number of ``_det_slopes`` sweeps made since the fixture was set up."""
+    calls = [0]
+
+    def counting(t, xs, work):
+        calls[0] += 1
+        return _det_slopes(t, xs, work)
+
+    monkeypatch.setattr(eigensolve, "_det_slopes", counting)
+    return calls
+
+
+@pytest.fixture
 def built_chains(monkeypatch):
     """Sizes of the chains ``converged_levels`` builds after the fixture is set up."""
     sizes = []
@@ -363,6 +379,19 @@ class TestMultisection:
             assert np.all(_sturm_counts(t, lo) <= idx)
             assert np.all(_sturm_counts(t, hi) > idx)
             assert np.all(hi - lo <= tol)
+
+    def test_brackets_of_given_levels(self):
+        # Levels 1, 5 and 9 only: the leading-run test reads their absolute
+        # indices.  Read as levels 0, 1 and 2, level 1 came out certified at
+        # 1.2913 where the true level is 1.4140.
+        t = random_chain(np.random.default_rng(13), 12)
+        ks = np.array([1, 5, 9])
+        bottom, top = t.gershgorin()
+        lo, hi = _bisect(t, np.full(3, bottom), np.full(3, top), 1e-10, ks)
+        assert np.all(_sturm_counts(t, lo) <= ks)
+        assert np.all(_sturm_counts(t, hi) > ks)
+        dense = eigenvalues_dense(t.to_dense()).values[ks]
+        np.testing.assert_allclose(0.5 * (lo + hi), dense, atol=1e-9)
 
     def test_separated_levels_count_distinct_shifts(self, monkeypatch):
         # One start sweep puts every level of a well-separated spectrum in a
@@ -550,6 +579,60 @@ class TestConvergedLevels:
         with pytest.raises(ConvergenceError, match="chain dimension 64"):
             converged_levels(p, chain, levels, tol)
         assert len(built_chains) == 2
+
+
+CRITERION_9 = (derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 401, 1e-8)
+
+
+@pytest.fixture(scope="module")
+def criterion_9_lapack():
+    """Lowest levels of the criterion-9 chain by LAPACK at twice its first truncation, and their error."""
+    p, chain, levels, _ = CRITERION_9
+    dense = build_chain(p, chain, 2 * int(_first_truncation(p, chain, levels))).to_dense()
+    # LAPACK's own error is of order eps times the matrix norm.
+    return np.linalg.eigvalsh(dense)[:levels], np.finfo(float).eps * float(np.max(np.abs(dense).sum(axis=1)))
+
+
+def assert_encloses(s, lapack):
+    reference, lapack_error = lapack
+    assert np.all(np.abs(s.values - reference) <= s.bounds + lapack_error)
+    assert float(np.max(s.bounds)) < s.tol
+
+
+class TestNewtonGuesses:
+    def test_cheap_bisection_keeps_its_route(self, slope_counter, sweep_counter):
+        # From brackets 2 tol wide, bisection takes 2 sweeps and the lower
+        # ends one count: less than a single Newton sweep costs.
+        s = converged_levels(derive_params(0.2, 0.0), ChainSelector(Branch.PLUS, Parity.EVEN), 300, 1e-8)
+        assert slope_counter[0] == 0 and sweep_counter[0] == 3
+        assert np.all(exact_zero_delta_errors(s, 0.2, Parity.EVEN) <= s.bounds)
+
+    def test_criterion_9_chain_sweeps(self, slope_counter, sweep_counter, criterion_9_lapack):
+        # Bisection took 28 sweeps and a count.  Newton takes 5, then a count
+        # of T_N at every hi, one of T' at every lo, multisection of the few
+        # levels that failed either, and one count of T' at their lo.
+        s = converged_levels(*CRITERION_9)
+        assert slope_counter[0] == _NEWTON_SWEEPS <= 5
+        assert sweep_counter[0] <= 8
+        assert_encloses(s, criterion_9_lapack)
+
+    # NaN slopes send every guess to its bracket top, zero slopes to its
+    # bottom, and NaN on odd levels leaves the even ones to Newton: every
+    # level that fails a count is bisected from its Weyl bracket.
+    @pytest.mark.parametrize("slopes", ["nan", "zero", "nan_on_odd_levels"])
+    def test_forced_fallback_certifies(self, monkeypatch, slopes, criterion_9_lapack):
+        def forced(t, xs, work):
+            got = _det_slopes(t, xs, work)
+            if slopes == "zero":
+                return np.zeros_like(got)
+            got[slice(None) if slopes == "nan" else slice(1, None, 2)] = np.nan
+            return got
+
+        monkeypatch.setattr(eigensolve, "_det_slopes", forced)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = converged_levels(*CRITERION_9)
+        assert_encloses(s, criterion_9_lapack)
 
 
 def exact_zero_delta_errors(s, g, parity):
