@@ -15,7 +15,7 @@ from rabi_spectra import (
     PhaseSpec,
     derive_params,
     hyper_f,
-    p_asym_parts,
+    p_asym_remainder,
     p_exact,
     p_fast_parts,
     phase_integral,
@@ -56,11 +56,6 @@ print(f"  phase_integral {phase_integral(spec):.14f} vs arctan form {closed:.14f
 
 print("\nenvelope-normalized remainder of the asymptotic form at x:")
 for n_full in (100, 200, 400, 800):
-    ref = p_fast_parts(n_full, 0, x)
-    asym = p_asym_parts(n_full, n_full, x)
-    resid = abs(
-        ref.sign * math.exp(ref.log_abs - asym.log_envelope)
-        - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
-    )
+    resid = p_asym_remainder(n_full, n_full, x)
     print(f"  size {2 * n_full:4}: residual {resid:.3e}, residual*(n+m) = {resid * 2 * n_full:.3f}")
 print("  (the scaled column stays bounded: the remainder is O(1/(n+m)))")

@@ -8,9 +8,9 @@ residuals
     Per-level three-term asymptotic breakdown with certified eigenvalues and
     the normalized remainder sequences.
 verify
-    Runs the residual/identity verification suites (squeeze: closed form
-    against the exponential oracle, once; polynomial oracles; perturbation
-    identities) and reports each residual against its threshold.
+    Runs the verification suites on the model that --g/--delta/--dim set
+    (squeeze: closed form against the exponential oracle; polynomials at
+    x = omega/(2g); V~ rows) and reports each residual against its threshold.
 poly
     Tabulates one polynomial index pair across an x grid (exact, fast,
     asymptotic, and envelope columns).
@@ -135,25 +135,13 @@ def _suite_squeeze(g: float, delta: float, dim: int) -> list[_Check]:
     ]
 
 
-def _bundle_max_residual(target: int, s: int, parity: int, x: float) -> float:
-    residuals = []
-    for step in range(-2, 3):
-        size = target + 4 * step
-        n_full = size // 2 - s + parity
-        m_full = size // 2 + s + parity
-        ref = polys.p_fast_parts(n_full, s, x)
-        try:
-            asym = polys.p_asym_parts(n_full, m_full, x)
-        except ValueError:  # x too large for the asymptotic form's domain
-            return math.inf
-        # Normalized by the envelope in log space, where values past e^709 still compare.
-        residuals.append(
-            abs(
-                ref.sign * math.exp(ref.log_abs - asym.log_envelope)
-                - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
-            )
-        )
-    return float(np.max(residuals))
+def _bundle_max_residual(target: int, parity: int, x: float) -> float:
+    """Largest s = 0 remainder over the five same-parity sizes target - 8 .. target + 8."""
+    degrees = range(target // 2 - 4 + parity, target // 2 + 5 + parity, 2)
+    try:
+        return float(np.max([polys.p_asym_remainder(n, n, x) for n in degrees]))
+    except ValueError:  # x too large for the asymptotic form's domain
+        return math.inf
 
 
 def _p_from_hyper_f(n: int, s: int, x: Fraction) -> Fraction:
@@ -179,17 +167,9 @@ def _suite_polys(g: float, _delta: float, _dim: int) -> list[_Check]:
         scaled_fast = parts.sign * math.exp(parts.log_abs - shift * math.log(2.0))
         rels.append(abs(scaled_fast - scaled_exact) / abs(scaled_exact))
     checks = [_Check("p_fast_vs_hyper_f_rel", float(np.max(rels)), 1e-9)]
-    xr = Fraction(7, 3)
-    mismatch = 0.0
-    for n_h in range(0, 8):
-        for m_h in range(n_h, 8):
-            for n in (2 * n_h, 2 * n_h + 1):
-                diff = polys.p_exact(n, m_h - n_h, xr) - _p_from_hyper_f(n, m_h - n_h, xr)
-                mismatch = max(mismatch, abs(float(diff)))
-    checks.append(_Check("hypergeometric_identity", mismatch, 1e-300))
     for parity in (0, 1):
-        near = _bundle_max_residual(200, 0, parity, x)
-        far = _bundle_max_residual(400, 0, parity, x)
+        near = _bundle_max_residual(200, parity, x)
+        far = _bundle_max_residual(400, parity, x)
         label = "even" if parity == 0 else "odd"
         checks.append(_Check(f"asym_decay_inverse_ratio_{label}", far / near, 1.0 / 1.5))
     return checks
@@ -210,17 +190,6 @@ def _suite_perturb(g: float, delta: float, dim: int) -> list[_Check]:
         _Check("row_sum_identity", float(np.max(sums)), 1e-8),
         _Check("v_tilde_row_vs_closed_form", float(np.max(consist)), 1e-10),
     ]
-    ms = np.arange(600)
-    model = perturb.SpectrumModel(mu=ms.astype(float), row_norms=1.0 / (1.0 + ms))
-    brute = 0.0
-    n0, cut = 40, 500
-    r_n = 0.5
-    for m in range(cut + 1):
-        denom = model.mu[m] - model.mu[n0] + (r_n if m <= n0 else -r_n)
-        brute += (model.row_norms[m] / denom) ** 2
-    checks.append(
-        _Check("delta_n_vs_bruteforce", abs(perturb.delta_n(model, n0, cut) - math.sqrt(brute)), 1e-12)
-    )
     if delta != 0.0:
         diag = []
         for n in (100, 400):

@@ -177,13 +177,14 @@ def _count_free(shifted: Iterable[float], off_sq: Iterable[float], p: float) -> 
     return True
 
 
-def _det_slopes(t: SymTriMatrix, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     """Slope G(x) = sum_i q_i'/q_i of log|det(T - x)| at each shift in ``xs``.
 
     Next to each pivot q_i of :func:`_sturm_counts` its derivative is
-    q_i' = r_i (q'/q)_{i-1} - 1, r_i = b_{i-1}^2 / q_{i-1}.  ``work`` (2 x rows
-    x xs.size) holds blocks of pivots and of ratios; a zero pivot makes G inf or NaN.
+    q_i' = r_i (q'/q)_{i-1} - 1, r_i = b_{i-1}^2 / q_{i-1}, swept in blocks of
+    pivots and of ratios as there; a zero pivot makes G inf or NaN.
     """
+    work = np.empty((2, min(_SWEEP_BLOCK, t.n), xs.size))
     off_sq = np.concatenate([[0.0], t.off**2])
     # q = 1 and q'/q = 0 before the first site, so b_{-1}^2 = 0 needs no branch.
     q, s, ratio, total = np.ones(xs.shape), np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
@@ -413,12 +414,11 @@ def converged_levels(
     lo, hi = mu - (spread + tol), mu + (spread + tol)
     enclosed = np.zeros(level_count, dtype=bool)
     if level_count > _SWEEP_SHIFTS // 2 and math.log2(2.0 * (spread + tol) / width) > _NEWTON_COST:
-        x, work = mu, np.empty((2, _SWEEP_BLOCK, level_count))
+        x = mu
         with np.errstate(all="ignore"):
             for _ in range(_NEWTON_SWEEPS):
                 # A NaN step lands on hi, since np.fmin drops NaN.
-                x = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x, work)))
-        del work  # kept through the counts below, it raised the peak resident set by 0.1 MB
+                x = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
         lo_x, hi_x = x - width / 4.0, x + width / 4.0
         enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
         enclosed &= _sturm_counts(lowered, lo_x) <= ks

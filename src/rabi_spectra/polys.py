@@ -13,7 +13,8 @@ Three evaluation routes are provided and cross-validated:
   only the logarithm of the result is rounded;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
-  times cos/sin of a closed-form phase integral), valid for s/lambda -> 0.
+  times cos/sin of a closed-form phase integral), valid for s/lambda -> 0;
+  :func:`p_asym_remainder` is its envelope-normalised distance from P.
 
 :func:`p_exact` and :func:`p_fast` share one integer kernel, :func:`_exact_sum`,
 which no other module calls; the squeeze elements of :mod:`rabi_spectra.squeeze`
@@ -44,6 +45,7 @@ __all__ = [
     "phase_integral",
     "p_asym",
     "p_asym_parts",
+    "p_asym_remainder",
 ]
 
 MAX_EXACT_DEGREE = 400
@@ -349,3 +351,16 @@ def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
 def p_asym(n_full: int, m_full: int, x: float) -> float:
     """Float value of the asymptotic form (overflows to +-inf past ~e709)."""
     return p_asym_parts(n_full, m_full, x).value
+
+
+def p_asym_remainder(n_full: int, m_full: int, x: float) -> float:
+    """|P - p_asym| / envelope in log space, where values past e^709 still compare.
+
+    P is read from :func:`p_fast_parts`; raises the ValueError of :func:`p_asym_parts`.
+    """
+    asym = p_asym_parts(n_full, m_full, x)
+    ref = p_fast_parts(n_full, (m_full - n_full) // 2, x)
+    return abs(
+        ref.sign * math.exp(ref.log_abs - asym.log_envelope)
+        - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
+    )

@@ -223,4 +223,4 @@ def uvu_residual(n_dim: int, lam: float, delta: float) -> float:
     v = parity_sign_diagonal(n_dim, delta)
     u = u_matrix_oracle(n_dim, lam)
     uvu = u @ (v[:, None] * u)
-    return float(np.max(np.abs(uvu - np.diag(v))[:q, :q]))
+    return float(np.max(np.abs(uvu[:q, :q] - np.diag(v[:q]))))

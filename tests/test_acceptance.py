@@ -107,15 +107,7 @@ def _bundle_max_normalized_residual(target_size: int, s: int, parity: int, x: fl
     worst = 0.0
     for step in range(-2, 3):
         size = target_size + 4 * step
-        n_full = size // 2 - s + parity
-        m_full = size // 2 + s + parity
-        ref = rs.p_fast_parts(n_full, s, x)
-        asym = rs.p_asym_parts(n_full, m_full, x)
-        diff = abs(
-            ref.sign * math.exp(ref.log_abs - asym.log_envelope)
-            - asym.sign * math.exp(asym.log_abs - asym.log_envelope)
-        )
-        worst = max(worst, diff)
+        worst = max(worst, rs.p_asym_remainder(size // 2 - s + parity, size // 2 + s + parity, x))
     return worst
 
 
@@ -219,10 +211,12 @@ def test_criterion_10_delta_n_machinery():
             row_norms=1.0 / np.sqrt(np.arange(1, 801, dtype=float)),
         ),
     }
+    cases = [(model, n, 799) for model in models.values() for n in (1, 25, 400)]
+    # Unit gaps with 1/(1 + m) row norms, cut inside the table.
+    inverse = np.arange(600, dtype=float)
+    cases.append((rs.SpectrumModel(mu=inverse, row_norms=1.0 / (1.0 + inverse)), 40, 500))
     worst_oracle = max(
-        abs(rs.delta_n(model, n, 799) - brute(model, n, 799))
-        for model in models.values()
-        for n in (1, 25, 400)
+        abs(rs.delta_n(model, n, cutoff) - brute(model, n, cutoff)) for model, n, cutoff in cases
     )
     report(
         10,

@@ -299,9 +299,9 @@ def slope_counter(monkeypatch):
     """Number of ``_det_slopes`` sweeps made since the fixture was set up."""
     calls = [0]
 
-    def counting(t, xs, work):
+    def counting(t, xs):
         calls[0] += 1
-        return _det_slopes(t, xs, work)
+        return _det_slopes(t, xs)
 
     monkeypatch.setattr(eigensolve, "_det_slopes", counting)
     return calls
@@ -621,8 +621,8 @@ class TestNewtonGuesses:
     # level that fails a count is bisected from its Weyl bracket.
     @pytest.mark.parametrize("slopes", ["nan", "zero", "nan_on_odd_levels"])
     def test_forced_fallback_certifies(self, monkeypatch, slopes, criterion_9_lapack):
-        def forced(t, xs, work):
-            got = _det_slopes(t, xs, work)
+        def forced(t, xs):
+            got = _det_slopes(t, xs)
             if slopes == "zero":
                 return np.zeros_like(got)
             got[slice(None) if slopes == "nan" else slice(1, None, 2)] = np.nan

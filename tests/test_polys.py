@@ -14,6 +14,7 @@ from rabi_spectra import (
     hyper_f,
     p_asym,
     p_asym_parts,
+    p_asym_remainder,
     p_exact,
     p_fast,
     p_fast_parts,
@@ -467,22 +468,39 @@ class TestAsym:
     def test_degree_1000_against_fast(self, x):
         # Large lambda_hat: the phase integral must stay cheap and accurate.
         n_full, m_full = 1000, 1004
-        parts = p_asym_parts(n_full, m_full, x)
-        ref = p_fast_parts(n_full, (m_full - n_full) // 2, x)
-        diff = abs(
-            parts.sign * math.exp(parts.log_abs - parts.log_envelope)
-            - ref.sign * math.exp(ref.log_abs - parts.log_envelope)
-        )
-        assert diff < 20.0 / (n_full + m_full)
+        assert p_asym_remainder(n_full, m_full, x) < 20.0 / (n_full + m_full)
 
     def test_even_odd_prefactors_against_fast(self):
         # Single-point agreement to the O(1/(n+m)) remainder scale.
         for n_full, m_full in ((100, 100), (101, 101), (96, 104), (97, 105)):
-            parts = p_asym_parts(n_full, m_full, MODEL_X)
-            s = (m_full - n_full) // 2
-            ref = p_fast_parts(n_full, s, MODEL_X)
-            diff = abs(
-                parts.sign * math.exp(parts.log_abs - parts.log_envelope)
-                - ref.sign * math.exp(ref.log_abs - parts.log_envelope)
-            )
-            assert diff < 20.0 / (n_full + m_full)
+            assert p_asym_remainder(n_full, m_full, MODEL_X) < 20.0 / (n_full + m_full)
+
+    @pytest.mark.parametrize("x", [0.48432210483785254, 1.0, MODEL_X])
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_remainder_against_exact(self, s, x):
+        # |p_asym - P| / envelope at 50 digits from the exact P.  Each log-space
+        # term of the helper carries an ulp of log|P|, about 1e-14 of the
+        # envelope, so near a node of the remainder only the absolute bound holds.
+        for n_full in range(10, 121):
+            m_full = n_full + 2 * s
+            parts = p_asym_parts(n_full, m_full, x)
+            exact = p_exact(n_full, s, Fraction(x))
+            with mp.workdps(50):
+                asym = parts.sign * mp.exp(parts.log_abs)
+                ref = abs(asym - mp.mpf(exact.numerator) / exact.denominator) / mp.exp(
+                    parts.log_envelope
+                )
+            got = p_asym_remainder(n_full, m_full, x)
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-13), n_full
+
+    @pytest.mark.parametrize(
+        "n_full, m_full, x",
+        [(10, 90, 3.0), (10, 30, 5.0), (10, 13, 1.0), (-2, 0, 1.0), (6, 2, 1.0), (10, 10, math.nan)],
+    )
+    def test_remainder_raises_as_asym_parts(self, n_full, m_full, x):
+        with pytest.raises(ValueError) as expected:
+            p_asym_parts(n_full, m_full, x)
+        with pytest.raises(ValueError) as got:
+            p_asym_remainder(n_full, m_full, x)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
