@@ -23,7 +23,10 @@ whose tail lies above a closed-form floor), each up to one rounding
 allowance from the backward error of the Sturm count.  Where bisection would
 take many sweeps, a bracket is set around a Newton guess on log|det(T_N - x)|
 (Li and Zeng 1994) and proved by the same counts, its upper end by one of T_N;
-a level that fails either count is bisected.  One chain is built
+a level that fails either count is bisected.  Newton starts from the
+caller's guesses if given (the three-term formula, for the residual table)
+and otherwise from the Delta = 0 levels, and stops once the steps show
+that nearly every guess has converged.  One chain is built
 per certificate, after a work budget of sites x levels is checked.  Since a
 sweep's early stop leaves every count as the full sweep's, the brackets,
 the certificate and its allowance are those of a full sweep.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +62,8 @@ _PATHS = ("direct", "a_posteriori")
 _SWEEP_BLOCK = 16
 # Shifts per Sturm sweep of _bisect, shared out among the brackets.
 _SWEEP_SHIFTS = 512
-# Newton sweeps of converged_levels, and their cost in Sturm sweeps (one costs 2.1-3.2).
+# Cap on the Newton sweeps of converged_levels, and their cost in Sturm sweeps (one
+# costs 2.1-3.2): the gate to Newton assumes the cap, though most runs stop earlier.
 _NEWTON_SWEEPS = 5
 _NEWTON_COST = 3 * _NEWTON_SWEEPS
 
@@ -332,6 +336,7 @@ def converged_levels(
     chain: ChainSelector,
     level_count: int,
     tol: float,
+    start: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Spectrum:
     """Lowest ``level_count`` eigenvalues of an infinite parity chain, certified to ``tol``.
 
@@ -361,9 +366,15 @@ def converged_levels(
     bound rejects its level: ConvergenceError, never a wrong certificate.
     Newton levels: above ``_SWEEP_SHIFTS // 2`` levels, where bisection's
     halvings log2(start width / (tol - a)) exceed ``_NEWTON_COST``, guess x_k
-    is ``_NEWTON_SWEEPS`` Newton steps on log|det(T_N - x)| from mu_k, each
-    clipped to the Weyl bracket.  Level k keeps x_k -+ (tol - a)/4 if an
-    explicit count(T_N, hi_k) > k proves its upper end and its lower end
+    comes from Newton steps on log|det(T_N - x)|, each clipped to the Weyl
+    bracket.  They start from ``start``, called once with the chain's Fock
+    indices 2k + p, with a non-finite value replaced by mu_k and every value
+    clipped to the bracket; without ``start``, from mu_k.  Newton converges
+    quadratically on the scale of the level spacing, so a step s_k with
+    s_k^2 <= omega (tol - a)/4 is taken to leave its guess within (tol - a)/4
+    of the level; the sweeps stop once at most level_count // 8 steps are
+    longer, after ``_NEWTON_SWEEPS`` at most.  Level k keeps x_k -+ (tol - a)/4
+    if an explicit count(T_N, hi_k) > k proves its upper end and its lower end
     passes; other levels are bisected, with their absolute indices, as above.
     A computed Sturm count is the exact count of T + E with |E_ii| <= eps
     |d_i - x| and off-diagonals off by at most 2.5 eps relative (Kahan 1966;
@@ -415,10 +426,19 @@ def converged_levels(
     enclosed = np.zeros(level_count, dtype=bool)
     if level_count > _SWEEP_SHIFTS // 2 and math.log2(2.0 * (spread + tol) / width) > _NEWTON_COST:
         x = mu
+        if start is not None:
+            guess = np.asarray(start(2 * ks + chain.parity.offset), dtype=float)
+            x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(guess), guess, mu)))
+        # A longer step may leave its guess more than (tol - a)/4 off its level.
+        late_sq = params.omega * width / 4.0
         with np.errstate(all="ignore"):
             for _ in range(_NEWTON_SWEEPS):
                 # A NaN step lands on hi, since np.fmin drops NaN.
-                x = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
+                new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
+                late = np.count_nonzero((new - x) ** 2 > late_sq)
+                x = new
+                if late <= level_count // 8:
+                    break
         lo_x, hi_x = x - width / 4.0, x + width / 4.0
         enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
         enclosed &= _sturm_counts(lowered, lo_x) <= ks

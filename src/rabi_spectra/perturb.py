@@ -21,7 +21,7 @@ against certified numerical eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -347,12 +347,21 @@ def residual_study(
     are matched to chain indices in sorted order (no crossing tracking; the
     asymptotic regime has well-separated levels).  Certified eigenvalues come
     from :func:`rabi_spectra.eigensolve.converged_levels`; its convergence
-    failures propagate.
+    failures propagate.  Where it takes Newton guesses, each level starts
+    from its three-term value (level 0, which has none, from its Delta = 0
+    level); the certificate does not depend on the start.  Each level's
+    breakdown is formed once, for the start or for the table.
     """
     if n_min < 10:
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
+    formula: dict[int, AsymptoticBreakdown] = {}
+
+    def start(fock: np.ndarray) -> np.ndarray:
+        formula.update((n, three_term(n, params, branch)) for n in fock.tolist() if n)
+        return np.array([formula[n].three_term if n else math.nan for n in fock.tolist()])
+
     needed = {n % 2 for n in range(n_min, min(n_max, n_min + 1) + 1)}
     spectra: dict[int, Spectrum] = {}
     for parity in (Parity.EVEN, Parity.ODD):
@@ -360,12 +369,14 @@ def residual_study(
         if p not in needed:
             continue
         level_count = (n_max - p) // 2 + 1
-        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
+        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol, start)
     out = []
     for n in range(n_min, n_max + 1):
-        breakdown = three_term(n, params, branch)
+        b = formula.get(n) or three_term(n, params, branch)
         numeric = float(spectra[n % 2].values[(n - n % 2) // 2])
         out.append(
-            replace(breakdown, numeric=numeric, residual=numeric - breakdown.three_term)
+            AsymptoticBreakdown(
+                n, b.linear, b.shift, b.oscillatory, b.three_term, numeric, numeric - b.three_term
+            )
         )
     return out
