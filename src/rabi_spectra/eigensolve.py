@@ -24,9 +24,8 @@ allowance from the backward error of the Sturm count.  Where bisection would
 take many sweeps, a bracket is set around a Newton guess on log|det(T_N - x)|
 (Li and Zeng 1994) and proved by the same counts, its upper end by one of T_N;
 a level that fails either count is bisected.  Newton starts from the
-caller's guesses if given (the three-term formula, for the residual table)
-and otherwise from the Delta = 0 levels, and stops once the steps show
-that nearly every guess has converged.  One chain is built
+three-term asymptotic formula and stops once the steps show that nearly
+every guess has converged.  One chain is built
 per certificate, after a work budget of sites x levels is checked.  Since a
 sweep's early stop leaves every count as the full sweep's, the brackets,
 the certificate and its allowance are those of a full sweep.
@@ -36,12 +35,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainSelector, ModelParams, SymTriMatrix, build_chain
+from .model import ChainSelector, ModelParams, SymTriMatrix, _diag_asym, build_chain
 
 __all__ = [
     "ConvergenceError",
@@ -336,7 +335,6 @@ def converged_levels(
     chain: ChainSelector,
     level_count: int,
     tol: float,
-    start: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Spectrum:
     """Lowest ``level_count`` eigenvalues of an infinite parity chain, certified to ``tol``.
 
@@ -367,13 +365,15 @@ def converged_levels(
     Newton levels: above ``_SWEEP_SHIFTS // 2`` levels, where bisection's
     halvings log2(start width / (tol - a)) exceed ``_NEWTON_COST``, guess x_k
     comes from Newton steps on log|det(T_N - x)|, each clipped to the Weyl
-    bracket.  They start from ``start``, called once with the chain's Fock
-    indices 2k + p, with a non-finite value replaced by mu_k and every value
-    clipped to the bracket; without ``start``, from mu_k.  Newton converges
-    quadratically on the scale of the level spacing, so a step s_k with
-    s_k^2 <= omega (tol - a)/4 is taken to leave its guess within (tol - a)/4
-    of the level; the sweeps stop once at most level_count // 8 steps are
-    longer, after ``_NEWTON_SWEEPS`` at most.  Level k keeps x_k -+ (tol - a)/4
+    bracket.  They start from the three-term formula mu_k +- V~_nn
+    asymptotics at Fock index n = 2k + p, the sign the branch's, clipped to
+    the bracket; level 0, which has no such value, starts from mu_0.  Newton
+    converges quadratically on the scale of the level spacing, so a step s_k
+    with s_k^2 <= omega (tol - a)/4 is taken to leave its guess within
+    (tol - a)/4 of the level, unless the step was clipped to a bracket end,
+    which lies at least tol from the level; the sweeps stop once at most
+    level_count // 8 guesses are left late by either test, after
+    ``_NEWTON_SWEEPS`` at most.  Level k keeps x_k -+ (tol - a)/4
     if an explicit count(T_N, hi_k) > k proves its upper end and its lower end
     passes; other levels are bisected, with their absolute indices, as above.
     A computed Sturm count is the exact count of T + E with |E_ii| <= eps
@@ -425,17 +425,16 @@ def converged_levels(
     lo, hi = mu - (spread + tol), mu + (spread + tol)
     enclosed = np.zeros(level_count, dtype=bool)
     if level_count > _SWEEP_SHIFTS // 2 and math.log2(2.0 * (spread + tol) / width) > _NEWTON_COST:
-        x = mu
-        if start is not None:
-            guess = np.asarray(start(2 * ks + chain.parity.offset), dtype=float)
-            x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(guess), guess, mu)))
         # A longer step may leave its guess more than (tol - a)/4 off its level.
         late_sq = params.omega * width / 4.0
         with np.errstate(all="ignore"):
+            # Level 0's asymptotics is inf or NaN, so it starts from mu_0.
+            x = mu + chain.branch.sign * _diag_asym(params, 2 * ks + chain.parity.offset)
+            x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(x), x, mu)))
             for _ in range(_NEWTON_SWEEPS):
                 # A NaN step lands on hi, since np.fmin drops NaN.
                 new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
-                late = np.count_nonzero((new - x) ** 2 > late_sq)
+                late = np.count_nonzero(((new - x) ** 2 > late_sq) | (new == lo) | (new == hi))
                 x = new
                 if late <= level_count // 8:
                     break

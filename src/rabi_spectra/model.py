@@ -13,6 +13,9 @@ branches H_plus / H_minus that act on a single Fock chain as
 and each branch further decouples into an even-index and an odd-index Fock
 chain, which are symmetric tridiagonal in the Fock basis.  This module builds
 those truncated matrices; eigensolving lives in :mod:`rabi_spectra.eigensolve`.
+It also holds the leading asymptotics of the squeezed perturbation's diagonal,
+which the eigensolver's Newton starts and :mod:`rabi_spectra.perturb`'s
+three-term formula share.
 """
 
 from __future__ import annotations
@@ -109,6 +112,18 @@ def derive_params(g: float, delta: float) -> ModelParams:
     omega = math.sqrt((1.0 - 2.0 * g) * (1.0 + 2.0 * g))
     a_phase = math.atan2(omega, 2.0 * g)
     return ModelParams(g=g, delta=delta, omega=omega, lam=lam, a_phase=a_phase)
+
+
+def _diag_asym(params: ModelParams, fock: np.ndarray) -> np.ndarray:
+    """Leading asymptotics of the transformed perturbation's diagonal V~_nn at Fock indices n.
+
+       (-1)^{floor(n/2)} (Delta/2) sqrt(omega/(pi g n)) cos(A (n+1/2) - pi n/2),
+
+    A = ``a_phase``; non-finite at n = 0, where the asymptotics has no value.
+    """
+    amplitude = (params.delta / 2.0) * np.sqrt(params.omega / (math.pi * params.g * fock))
+    phase = params.a_phase * (fock + 0.5) - math.pi * fock / 2.0
+    return (-1.0) ** (fock // 2) * amplitude * np.cos(phase)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ against certified numerical eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .eigensolve import Spectrum, converged_levels
-from .model import Branch, ChainSelector, ModelParams, Parity
+from .model import Branch, ChainSelector, ModelParams, Parity, _diag_asym
 from .polys import MAX_ELEMENT_INDEX
 from .squeeze import _element
 
@@ -229,11 +229,7 @@ def v_tilde_diag_asym(n: int, params: ModelParams) -> float:
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    amplitude = (params.delta / 2.0) * math.sqrt(
-        params.omega / (math.pi * params.g * n)
-    )
-    phase = params.a_phase * (n + 0.5) - math.pi * n / 2.0
-    return (-1.0) ** (n // 2) * amplitude * math.cos(phase)
+    return float(_diag_asym(params, np.asarray(n)))
 
 
 def row_tail_mass(n: int, params: ModelParams, cutoff: int) -> float:
@@ -346,22 +342,13 @@ def residual_study(
     Fock index n lives at position floor(n/2) of its parity chain, and levels
     are matched to chain indices in sorted order (no crossing tracking; the
     asymptotic regime has well-separated levels).  Certified eigenvalues come
-    from :func:`rabi_spectra.eigensolve.converged_levels`; its convergence
-    failures propagate.  Where it takes Newton guesses, each level starts
-    from its three-term value (level 0, which has none, from its Delta = 0
-    level); the certificate does not depend on the start.  Each level's
-    breakdown is formed once, for the start or for the table.
+    from :func:`rabi_spectra.eigensolve.converged_levels`, whose Newton
+    guesses start from this formula; its convergence failures propagate.
     """
     if n_min < 10:
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
-    formula: dict[int, AsymptoticBreakdown] = {}
-
-    def start(fock: np.ndarray) -> np.ndarray:
-        formula.update((n, three_term(n, params, branch)) for n in fock.tolist() if n)
-        return np.array([formula[n].three_term if n else math.nan for n in fock.tolist()])
-
     needed = {n % 2 for n in range(n_min, min(n_max, n_min + 1) + 1)}
     spectra: dict[int, Spectrum] = {}
     for parity in (Parity.EVEN, Parity.ODD):
@@ -369,14 +356,12 @@ def residual_study(
         if p not in needed:
             continue
         level_count = (n_max - p) // 2 + 1
-        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol, start)
+        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
     out = []
     for n in range(n_min, n_max + 1):
-        b = formula.get(n) or three_term(n, params, branch)
+        breakdown = three_term(n, params, branch)
         numeric = float(spectra[n % 2].values[(n - n % 2) // 2])
         out.append(
-            AsymptoticBreakdown(
-                n, b.linear, b.shift, b.oscillatory, b.three_term, numeric, numeric - b.three_term
-            )
+            replace(breakdown, numeric=numeric, residual=numeric - breakdown.three_term)
         )
     return out

@@ -21,7 +21,6 @@ from rabi_spectra import (
     eigenvalues_bisection,
     eigenvalues_dense,
     sturm_count,
-    three_term,
 )
 from rabi_spectra import eigensolve
 from rabi_spectra.eigensolve import (
@@ -32,6 +31,7 @@ from rabi_spectra.eigensolve import (
     _first_truncation,
     _sturm_counts,
 )
+from rabi_spectra.model import _diag_asym
 
 
 def random_chain(rng: np.random.Generator, n: int) -> SymTriMatrix:
@@ -608,29 +608,23 @@ class TestNewtonGuesses:
         assert slope_counter[0] == 0 and sweep_counter[0] == 3
         assert np.all(exact_zero_delta_errors(s, 0.2, Parity.EVEN) <= s.bounds)
 
-    # Bisection took 28 sweeps and a count.  Newton stops once at most one
-    # level in 8 still takes a long step, here after 3 sweeps from mu_k.
-    # Then come a count of T_N at every hi, one of T' at every lo,
-    # multisection of the levels that failed either, and one count of T' at
-    # their lo.
+    # Bisection took 28 sweeps and a count.  Newton from the three-term
+    # formula stops once at most one level in 8 still takes a long step,
+    # here after 2 sweeps.  Then come a count of T_N at every hi, one of T'
+    # at every lo, multisection of the levels that failed either, and one
+    # count of T' at their lo.
     def test_criterion_9_chain_sweeps(self, slope_counter, sweep_counter, criterion_9_lapack):
         s = converged_levels(*CRITERION_9)
-        assert slope_counter[0] == 3 < _NEWTON_SWEEPS
-        assert sweep_counter[0] <= 10
+        assert slope_counter[0] == 2 < _NEWTON_SWEEPS
+        assert sweep_counter[0] <= 8
         assert_encloses(s, criterion_9_lapack)
 
-    # From the three-term formula Newton stops after 2 sweeps, and fewer
-    # levels are bisected.  The start is called once.
-    def test_criterion_9_three_term_start(self, slope_counter, sweep_counter, criterion_9_lapack):
-        calls = []
-
-        def start(fock):
-            calls.append(fock)
-            return three_term_start(fock)
-
-        s = converged_levels(*CRITERION_9, start)
-        assert slope_counter[0] == 2 and sweep_counter[0] <= 8
-        assert len(calls) == 1
+    # A NaN asymptotics sends every level back to mu_k, the Delta = 0 level,
+    # from which Newton takes a sweep more and more levels are bisected.
+    def test_criterion_9_mu_start_sweeps(self, monkeypatch, slope_counter, sweep_counter, criterion_9_lapack):
+        monkeypatch.setattr(eigensolve, "_diag_asym", lambda p, fock: np.full(fock.shape, np.nan))
+        s = converged_levels(*CRITERION_9)
+        assert slope_counter[0] == 3 and sweep_counter[0] <= 10
         assert_encloses(s, criterion_9_lapack)
 
     # NaN slopes send every guess to its bracket top, zero slopes to its
@@ -651,40 +645,36 @@ class TestNewtonGuesses:
             s = converged_levels(*CRITERION_9)
         assert_encloses(s, criterion_9_lapack)
 
-    # A start costs time, never the certificate: non-finite guesses fall
-    # back to mu_k, a start one level spacing off sends Newton towards the
-    # neighbouring level, and a constant is clipped to the bracket ends.
+    # A start costs time, never the certificate: an infinite one is clipped
+    # to a bracket end, one a level spacing 2 omega off sends Newton towards
+    # the neighbouring level, and the constant 3.0 is clipped to the bracket
+    # ends of most levels.
     @pytest.mark.parametrize(
-        "start",
+        "asym",
         [
-            lambda fock: np.full(fock.shape, np.nan),
-            lambda fock: np.full(fock.shape, np.inf),
-            lambda fock: np.full(fock.shape, -np.inf),
-            lambda fock: three_term_start(fock) + 2.0 * CRITERION_9[0].omega,
-            lambda fock: 3.0,
+            lambda p, fock: np.full(fock.shape, np.inf),
+            lambda p, fock: np.full(fock.shape, -np.inf),
+            lambda p, fock: _diag_asym(p, fock) + 2.0 * p.omega,
+            lambda p, fock: 3.5 - p.omega * (fock + 0.5),
         ],
-        ids=["nan", "inf", "-inf", "three_term_next_level", "constant"],
+        ids=["inf", "-inf", "next_level", "constant"],
     )
-    def test_bad_start_certifies(self, start, criterion_9_lapack):
+    def test_bad_start_certifies(self, monkeypatch, asym, criterion_9_lapack):
+        monkeypatch.setattr(eigensolve, "_diag_asym", asym)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            s = converged_levels(*CRITERION_9, start)
+            s = converged_levels(*CRITERION_9)
         assert_encloses(s, criterion_9_lapack)
 
-    # The start is only called on the Newton route, after the work budget.
-    def test_start_unused_off_newton_route(self):
+    # The start is formed only on the Newton route, after the work budget.
+    def test_start_only_on_newton_route(self, monkeypatch):
         calls = []
+        monkeypatch.setattr(eigensolve, "_diag_asym", lambda p, fock: calls.append(fock.size))
         p, chain, _, tol = CRITERION_9
-        converged_levels(p, chain, 20, tol, calls.append)
+        converged_levels(p, chain, 20, tol)
         with pytest.raises(ConvergenceError, match="sites x levels"):
-            converged_levels(p, chain, 2**40, tol, calls.append)
+            converged_levels(p, chain, 2**40, tol)
         assert calls == []
-
-
-def three_term_start(fock):
-    """Three-term guesses for the Fock indices of the criterion-9 chain, NaN at n = 0."""
-    p, chain, _, _ = CRITERION_9
-    return np.array([three_term(n, p, chain.branch).three_term if n else np.nan for n in fock.tolist()])
 
 
 def exact_zero_delta_errors(s, g, parity):
