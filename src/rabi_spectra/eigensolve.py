@@ -7,8 +7,8 @@ an oracle for the other:
   production path): each sweep counts up to ``_SWEEP_SHIFTS`` shifts spread
   over the eigenvalue brackets, so few brackets shrink by a large factor per
   sweep and many brackets are bisected; a sweep stops at the chain's
-  count-free tail, past the top shift's turning point, once a scalar pivot
-  run proves that no shift gains a count there, and
+  count-free tail, past the top shift's turning point, where a floor on
+  every pivot, set at the top shift, proves that no shift gains a count, and
 * LAPACK's dense symmetric eigensolver (``numpy.linalg.eigvalsh``) on small
   matrices.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +118,18 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.
 
     The sweep ends at a block boundary j once the rest of the chain is
-    proved count-free for every shift.  With X = max(xs) and theta = min over
-    shifts of q_{j-1}, the proof is the scalar run p_i = (d_i - X) -
-    b_{i-1}^2 / p_{i-1} from p_{j-1} = theta in Python floats, with the
-    sweep's rounded b^2, its operations and its skips, staying > 0 to the
-    last site.  Each IEEE operation is monotone in each argument, so by
-    induction every computed q_i(x) of a shift x <= X is at least p_i > 0
-    (theta > 0 wherever b_{j-1}^2 != 0 lets the first step read it), and the
-    counts equal the full sweep's bit for bit (Kahan 1966; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 10).  The run is made once per call,
-    at the first boundary where every row i >= j of T - X is strictly
-    diagonally dominant and theta >= |b_{j-1}|: there every exact p_i
-    exceeds |b_i|, so only rounding can fail the run, and its cost stays
-    linear in the chain.
+    proved count-free for every shift.  With X = max(xs), the pivot floor of
+    site i is f_i = (d_i - X) - b_{i-1}^2 / |b_{i-1}|, rounded as the sweep
+    rounds.  The sweep may end at the first j past the last site where f_i > 0
+    and f_i >= |b_i| (f_i > 0 at the last site) do not both hold, once the
+    minimum over shifts of q_{j-1} is >= |b_{j-1}|.  Each IEEE operation is
+    monotone in each argument, so q_{i-1} >= |b_{i-1}| gives
+    b_{i-1}^2 / q_{i-1} <= b_{i-1}^2 / |b_{i-1}| as rounded, and by induction
+    q_i(x) >= f_i >= |b_i| and q_i(x) > 0 for every shift x <= X: the counts
+    equal the full sweep's bit for bit (Kahan 1966; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10).  No rounding allowance enters, so the bound
+    holds where b^2 is subnormal, and a zero coupling's floor is 0/0 = NaN,
+    which fails the test and only moves the end later.
     """
     xs = np.asarray(xs, dtype=float)
     off_sq = np.concatenate([[0.0], t.off**2])
@@ -140,22 +138,19 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size))
     rows = list(pivots)
     count = np.zeros(xs.shape, dtype=np.int64)
-    top = float(xs.max(initial=-math.inf))
-    # Rows from `gate` on are strictly diagonally dominant in T - top.
-    dominated = np.flatnonzero(t.diag - t.radius() <= top)
-    gate = int(dominated[-1]) + 1 if dominated.size else 1
+    size = np.abs(t.off)
+    # The pivot floor f_i at the top shift; a zero coupling's 0/0 fails the gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = t.diag - float(xs.max(initial=-math.inf))
+        floor[1:] -= off_sq[1:] / size
+    proved = floor > 0
+    proved[:-1] &= floor[:-1] >= size
+    short = np.flatnonzero(~proved)
+    gate = int(short[-1]) + 1 if short.size else 1
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, t.n, _SWEEP_BLOCK):
-            if start >= gate:
-                theta = float(q.min(initial=math.inf))
-                if theta >= abs(t.off[start - 1]):
-                    # One scalar run per call keeps the check's cost linear.
-                    gate = t.n
-                    # Memoryviews yield Python floats one at a time: lists of
-                    # the tail raised the peak resident set by about 0.1 MB.
-                    tail = memoryview(t.diag[start:] - top)
-                    if _count_free(tail, memoryview(off_sq[start:]), theta):
-                        break
+            if start >= gate and q.min(initial=math.inf) >= size[start - 1]:
+                break
             block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
             np.subtract(t.diag[start : start + block.shape[0], None], xs, block)
             prev = q
@@ -169,15 +164,6 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
             # The next block overwrites the buffer, so its last pivot is copied out.
             np.copyto(q, prev)
     return count
-
-
-def _count_free(shifted: Iterable[float], off_sq: Iterable[float], p: float) -> bool:
-    """True if the pivots p = (d_i - X) - b_{i-1}^2 / p from ``p`` stay > 0; ``shifted`` yields d_i - X."""
-    for s, b_sq in zip(shifted, off_sq):
-        p = s - b_sq / p if b_sq else s
-        if not p > 0:
-            return False
-    return True
 
 
 def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:

@@ -84,7 +84,8 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _oracle_cached(n_dim: int, lam: float) -> np.ndarray:
-    g = lam * squeeze_generator(n_dim)
+    g = squeeze_generator(n_dim)
+    g *= lam
     u = np.zeros((n_dim, n_dim))
     for p in (0, 1):
         u[p::2, p::2] = _expm(g[p::2, p::2])

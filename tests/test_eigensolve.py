@@ -165,7 +165,7 @@ def shift_sets(t: SymTriMatrix, rng: np.random.Generator) -> dict[str, np.ndarra
 class TestCountFreeTail:
     """The sweep's exit at a count-free tail leaves every count as the full sweep's."""
 
-    @pytest.mark.parametrize("g", [1e-300, 0.01, 0.2, 0.45, 0.499])
+    @pytest.mark.parametrize("g", [1e-300, 1e-160, 0.01, 0.2, 0.45, 0.499])
     def test_counts_equal_full_sweep(self, g):
         rng = np.random.default_rng(int(1000 * g) + 21)
         for delta, parity, n in itertools.product(
@@ -180,6 +180,26 @@ class TestCountFreeTail:
                     _sturm_counts(t, xs), expected[: xs.size], err_msg=f"{delta=} {parity} {n=} {name}"
                 )
                 expected = expected[xs.size :]
+
+    def test_zero_couplings_in_the_tail(self):
+        # A zero coupling's pivot floor is 0/0, which must never prove its site.  Every 7th
+        # coupling is 0, and so is the last, which cuts off a site lowered below the shifts
+        # just past the block boundary at 704.
+        t = build_chain(derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 705)
+        diag, off = t.diag.copy(), t.off.copy()
+        off[6::7] = 0.0
+        off[-1], diag[-1] = 0.0, diag[0]
+        t = SymTriMatrix(diag=diag, off=off)
+        for name, xs in shift_sets(t, np.random.default_rng(27)).items():
+            np.testing.assert_array_equal(_sturm_counts(t, xs), full_sweep_counts(t, xs), err_msg=name)
+
+    def test_shifts_past_the_double_range_raise_no_warning(self):
+        # d - X overflows at the outer sites for either shift; the floor must not warn.
+        t = SymTriMatrix(diag=[-8e307, 1.0, 8e307], off=[1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sturm_count(t, 1.7e308) == 3
+            assert sturm_count(t, -1.7e308) == 0
 
     def test_exit_fires_past_the_top_shift(self, monkeypatch):
         t = build_chain(derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 2000)
