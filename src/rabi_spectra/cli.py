@@ -79,7 +79,10 @@ def cmd_spectrum(opts: dict[str, Any]) -> int:
     spectrum = converged_levels(params, chain, levels, opts["tol"])
     offset = chain.parity.offset
     # converged_levels certifies every level or raises, so every row is trusted.
-    rows = [f"{k},{2 * k + offset},{_fmt(spectrum.values[k])},1" for k in range(levels)]
+    rows = [
+        "%d,%d,%.17g,1" % (k, 2 * k + offset, value)
+        for k, value in enumerate(spectrum.values.tolist())
+    ]
     _write_rows(opts["out"], "n,fock_index,energy,trusted", rows)
     return 0
 
@@ -89,23 +92,14 @@ def cmd_residuals(opts: dict[str, Any]) -> int:
     study = perturb.residual_study(
         params, _BRANCHES[opts["branch"]], opts["n_min"], opts["n_max"], opts["tol"]
     )
-    rows = []
-    for b in study:
-        rows.append(
-            ",".join(
-                [
-                    str(b.n),
-                    _fmt(b.numeric),
-                    _fmt(b.linear),
-                    _fmt(b.shift),
-                    _fmt(b.oscillatory),
-                    _fmt(b.three_term),
-                    _fmt(b.residual),
-                    _fmt(b.res_n_over_log_n),
-                    _fmt(b.res_times_n),
-                ]
-            )
-        )
+    # One C-level format per row, with the 17 significant digits of _fmt.
+    row_format = "%d" + ",%.17g" * 8
+    rows = [
+        row_format
+        % (b.n, b.numeric, b.linear, b.shift, b.oscillatory, b.three_term, b.residual,
+           b.res_n_over_log_n, b.res_times_n)
+        for b in study
+    ]
     header = "n,numeric,linear,shift,oscillatory,three_term,residual,res_n_over_logn,res_n"
     _write_rows(opts["out"], header, rows)
     return 0

@@ -21,12 +21,12 @@ against certified numerical eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .eigensolve import Spectrum, converged_levels
+from .eigensolve import converged_levels
 from .model import Branch, ChainSelector, ModelParams, Parity, _diag_asym
 from .polys import MAX_ELEMENT_INDEX
 from .squeeze import _element
@@ -316,18 +316,29 @@ def delta_n(model: SpectrumModel, n: int, m_cutoff: int) -> float:
     return float(np.sqrt(np.sum((model.row_norms[ms] / denom) ** 2)))
 
 
-def three_term(n: int, params: ModelParams, branch: Branch) -> AsymptoticBreakdown:
-    """Three-term asymptotic breakdown of level n (numeric fields unfilled)."""
-    linear = n * params.omega
+def _three_term_columns(
+    params: ModelParams, branch: Branch, ns: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Columns (linear, shift, oscillatory, three_term) of the formula at Fock indices ns.
+
+    three_term is summed as (linear + shift) + oscillatory, element by element.
+    """
+    linear = ns * params.omega
     shift = (params.omega - 1.0) / 2.0
-    oscillatory = branch.sign * v_tilde_diag_asym(n, params)
-    return AsymptoticBreakdown(
-        n=n,
-        linear=linear,
-        shift=shift,
-        oscillatory=oscillatory,
-        three_term=linear + shift + oscillatory,
-    )
+    oscillatory = branch.sign * _diag_asym(params, ns)
+    return linear, shift, oscillatory, linear + shift + oscillatory
+
+
+def three_term(n: int, params: ModelParams, branch: Branch) -> AsymptoticBreakdown:
+    """Three-term asymptotic breakdown of level n (numeric fields unfilled).
+
+    The one-row form of the columns that :func:`residual_study` computes, so
+    its fields equal those of row n there exactly.
+    """
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    linear, shift, oscillatory, total = _three_term_columns(params, branch, np.arange(n, n + 1))
+    return AsymptoticBreakdown(n, linear.item(), shift, oscillatory.item(), total.item())
 
 
 def residual_study(
@@ -344,24 +355,26 @@ def residual_study(
     asymptotic regime has well-separated levels).  Certified eigenvalues come
     from :func:`rabi_spectra.eigensolve.converged_levels`, whose Newton
     guesses start from this formula; its convergence failures propagate.
+    Every column (numeric, the formula's terms, residual) is computed once
+    over the whole range, and each row of the formula's terms equals
+    :func:`three_term` of its n.
     """
     if n_min < 10:
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
-    needed = {n % 2 for n in range(n_min, min(n_max, n_min + 1) + 1)}
-    spectra: dict[int, Spectrum] = {}
+    ns = np.arange(n_min, n_max + 1)
+    numeric = np.empty(ns.size)
     for parity in (Parity.EVEN, Parity.ODD):
-        p = parity.offset
-        if p not in needed:
+        first = (parity.offset - n_min) % 2  # row of the range's first n of this parity
+        if first >= ns.size:
             continue
-        level_count = (n_max - p) // 2 + 1
-        spectra[p] = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
-    out = []
-    for n in range(n_min, n_max + 1):
-        breakdown = three_term(n, params, branch)
-        numeric = float(spectra[n % 2].values[(n - n % 2) // 2])
-        out.append(
-            replace(breakdown, numeric=numeric, residual=numeric - breakdown.three_term)
-        )
-    return out
+        level_count = (n_max - parity.offset) // 2 + 1
+        spectrum = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
+        numeric[first::2] = spectrum.values[(n_min + first) // 2 :]
+    linear, shift, oscillatory, total = _three_term_columns(params, branch, ns)
+    columns = (ns, linear, oscillatory, total, numeric, numeric - total)
+    return [
+        AsymptoticBreakdown(n, lin, shift, osc, tt, num, res)
+        for n, lin, osc, tt, num, res in zip(*(column.tolist() for column in columns))
+    ]

@@ -151,10 +151,14 @@ def _log_ratio(w: int, d: int) -> float:
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
 
-    Read from the integer sum at x taken as a binary fraction, at 192 + n/2
-    bits, doubled until the error bound certifies 64 bits of |P| and of
-    |P| - 1 (the logarithm's relative accuracy near |P| = 1).  Doubling ends
-    at the exact sum, which alone returns a zero; the log is rounded once.
+    Read from the integer sum at x taken as a binary fraction u/v.  Below
+    degree 64, with u and v of at most 64 bits, the sum is exact: there its
+    integers stay short and the bookkeeping of floors costs more than it
+    saves (at x = 1e300 they are long, and floors win).  Otherwise it runs
+    at 192 + n/2 bits, doubled until the error bound certifies 64 bits of
+    |P| and of |P| - 1 (the logarithm's relative accuracy near |P| = 1).
+    Doubling ends at the exact sum, which alone returns a zero; the log is
+    rounded once.
 
     Raises:
         ValueError: for a negative index, a degree above MAX_ELEMENT_INDEX
@@ -168,7 +172,9 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument x={x!r} must be finite")
-    x, bits = Fraction(x), 192 + n // 2
+    x = Fraction(x)
+    short = max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64
+    bits = None if n < 64 and short else 192 + n // 2
     while True:
         w, err, shift, d = _exact_sum(n, s, x, bits)
         if w == 0 and err == 0:

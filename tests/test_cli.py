@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from rabi_spectra import cli, squeeze
+from rabi_spectra import Branch, Parity, cli, converged_levels, derive_params, perturb, squeeze
 from rabi_spectra.cli import main
+from rabi_spectra.model import ChainSelector
 
 
 def run_cli(args, tmp_path, config=None, capsys=None):
@@ -82,6 +83,17 @@ class TestSpectrum:
         ]
         assert rebuilt == first.strip().splitlines()[1:]
         assert [float(r[2]) for r in rows] == sorted(float(r[2]) for r in rows)
+
+    def test_cells_are_17_digit_library_values(self, tmp_path, capsys):
+        args = ["spectrum", "--g", "0.45", "--delta", "6", "--branch", "minus",
+                "--parity", "odd", "--levels", "40", "--tol", "1e-9"]
+        assert run_cli(args, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        chain = ChainSelector(Branch.MINUS, Parity.ODD)
+        values = converged_levels(derive_params(0.45, 6.0), chain, 40, 1e-9).values
+        assert rows == [
+            [str(k), str(2 * k + 1), format(value, ".17g"), "1"] for k, value in enumerate(values)
+        ]
 
     def test_deterministic_across_runs(self, tmp_path, capsys):
         args = ["spectrum", "--g", "0.25", "--delta", "0.7", "--levels", "6"]
@@ -211,6 +223,24 @@ class TestResiduals:
             assert abs(float(r[6])) < 10 * tol
             # 17-significant-digit round trip keeps the sum identity exact.
             assert float(r[5]) == float(r[2]) + float(r[3]) + float(r[4])
+
+    @pytest.mark.parametrize("delta", ["0", "-3"])
+    def test_cells_are_17_digit_library_values(self, delta, tmp_path, capsys):
+        args = ["residuals", "--g", "0.45", "--delta", delta, "--branch", "minus",
+                "--n-min", "11", "--n-max", "60", "--tol", "1e-8"]
+        assert run_cli(args, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        study = perturb.residual_study(
+            derive_params(0.45, float(delta)), Branch.MINUS, 11, 60, 1e-8
+        )
+        assert len(rows) == len(study)
+        for row, b in zip(rows, study):
+            fields = (b.numeric, b.linear, b.shift, b.oscillatory, b.three_term,
+                      b.residual, b.res_n_over_log_n, b.res_times_n)
+            assert row == [str(b.n)] + [format(field, ".17g") for field in fields]
+        if delta == "0":
+            # The oscillatory column is a signed zero, printed as such.
+            assert {row[4] for row in rows} == {"0", "-0"}
 
     def test_single_parity_range(self, tmp_path, capsys):
         assert run_cli(["residuals", "--n-min", "11", "--n-max", "11"], tmp_path) == 0

@@ -395,6 +395,48 @@ class TestResidualStudy:
             assert abs(b.residual) < 10 * tol
             assert b.three_term == b.linear + b.shift + b.oscillatory
 
+    @pytest.mark.parametrize("g", [1e-160, 0.01, 0.2, 0.45, 0.49])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -3.0, 6.0])
+    def test_rows_equal_scalar_formula_and_certified_values(self, g, delta):
+        # Every field exactly, sign of zero included: the formula's terms as
+        # three_term(n) and as the scalar route sums them, left to right, and
+        # numeric as the certified level of its chain.
+        params = derive_params(g, delta)
+        tol = 1e-8
+        for branch in Branch:
+            for n_min, n_max in ((10, 41), (11, 40), (23, 23)):
+                study = residual_study(params, branch, n_min, n_max, tol)
+                assert [b.n for b in study] == list(range(n_min, n_max + 1))
+                values = {
+                    parity.offset: converged_levels(
+                        params,
+                        ChainSelector(branch, parity),
+                        (n_max - parity.offset) // 2 + 1,
+                        tol,
+                    ).values
+                    for parity in Parity
+                    if any(n % 2 == parity.offset for n in range(n_min, n_max + 1))
+                }
+                for b in study:
+                    ref = three_term(b.n, params, branch)
+                    numeric = float(values[b.n % 2][b.n // 2])
+                    oscillatory = branch.sign * v_tilde_diag_asym(b.n, params)
+                    linear = b.n * params.omega
+                    total = linear + (params.omega - 1.0) / 2.0 + oscillatory
+                    expected = [
+                        (b.linear, ref.linear, linear),
+                        (b.shift, ref.shift, (params.omega - 1.0) / 2.0),
+                        (b.oscillatory, ref.oscillatory, oscillatory),
+                        (b.three_term, ref.three_term, total),
+                        (b.numeric, numeric),
+                        (b.residual, numeric - total),
+                    ]
+                    for got, *refs in expected:
+                        assert type(got) is float, (b.n, got)
+                        for want in refs:
+                            assert got == want, (b.n, got, want)
+                            assert math.copysign(1.0, got) == math.copysign(1.0, want), b.n
+
     def test_normalized_sequences(self):
         study = residual_study(PARAMS, Branch.PLUS, 30, 60, 1e-8)
         for b in study:

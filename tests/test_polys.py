@@ -251,6 +251,59 @@ class TestWorkingPrecision:
             assert d == d_exact
             assert abs(exact - (w << shift)) <= err << shift, (n, s, x, bits)
 
+    # Exact below degree 64 at a 64-bit fraction x; floored from degree 64 on,
+    # and at an x whose numerator (1e300) or denominator (1e-300) is longer.
+    @pytest.mark.parametrize(
+        "n,x,bits",
+        [(0, MODEL_X, None), (63, MODEL_X, None), (63, -4.75, None), (64, MODEL_X, 224),
+         (65, MODEL_X, 224), (400, MODEL_X, 392), (40, 1e300, 212), (1, -1e-300, 192)],
+    )
+    def test_exact_below_degree_64(self, n, x, bits, monkeypatch):
+        import rabi_spectra.polys as polys
+
+        starts = []
+        kernel = polys._exact_sum
+
+        def spy(n, s, x, bits=None):
+            starts.append(bits)
+            return kernel(n, s, x, bits)
+
+        monkeypatch.setattr(polys, "_exact_sum", spy)
+        polys.p_fast_parts(n, 3, x)
+        assert starts[0] == bits
+
+    def test_grid_reaches_the_floored_route(self):
+        # From degree 64 on, most grid cases floor at the production start, so
+        # test_fast_parts_match_exact_route checks the floored route there.
+        from rabi_spectra.polys import _exact_sum
+
+        floored = sum(
+            _exact_sum(n, s, Fraction(x), 192 + n // 2)[2] > 0
+            for n, s, x in WORKING_PRECISION_GRID
+            if n >= 64
+        )
+        assert floored > 1000
+
+    def test_exact_start_matches_hyper_f(self):
+        # The hypergeometric series is an independent exact route to P.
+        from rabi_spectra.polys import _log_ratio
+
+        for n in range(64):
+            n_h, odd = divmod(n, 2)
+            for s in (0, 1, 7, 39):
+                for x in (MODEL_X, -2.3, 0.5, 4.75):
+                    z = Fraction(x)
+                    scale = Fraction(math.factorial(n), math.factorial(n_h) * math.factorial(n_h + s))
+                    series = hyper_f(n_h, n_h + s, Fraction(1 + 2 * odd, 2), -(z**2))
+                    value = (-1) ** n_h * scale * (2 * z if odd else 1) * series
+                    parts = p_fast_parts(n, s, x)
+                    if value == 0:
+                        assert (parts.sign, parts.log_abs) == (0.0, -math.inf), (n, s, x)
+                        continue
+                    ref = _log_ratio(abs(value.numerator), value.denominator)
+                    assert parts.sign == math.copysign(1.0, value), (n, s, x)
+                    assert abs(parts.log_abs - ref) <= math.ulp(ref), (n, s, x)
+
     def test_odd_degree_at_zero_is_an_exact_zero_after_floors(self):
         # The factor |2u| = 0 clears the bound too, so one pass decides.
         from rabi_spectra.polys import _exact_sum
