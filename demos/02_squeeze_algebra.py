@@ -4,8 +4,10 @@ U(lam) = exp(lam (a^2 - a+^2)) diagonalizes the quadratic part of the model
 when tanh(4 lam) = 2g.  Two independent constructions are compared once
 per coupling on the certified 64x64 block of a 256-dimensional truncation:
 the closed-form matrix elements of the normal-ordered factorization
-(u_element, which fills the block of factorization_residual) and the matrix
-exponential.  The diagonalization is checked on the same block as the
+(u_element; factorization_residual fills the block with the same closed form,
+taking the polynomial factors column by column from their exact three-term
+relation, equal to u_element's Horner sums where those are exact) and the
+matrix exponential.  The diagonalization is checked on the same block as the
 eigen-equation H0 U = U D.
 """
 

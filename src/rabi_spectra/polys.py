@@ -17,8 +17,10 @@ Three evaluation routes are provided and cross-validated:
   :func:`p_asym_remainder` is its envelope-normalised distance from P.
 
 :func:`p_exact` and :func:`p_fast` share one integer kernel, :func:`_exact_sum`,
-which no other module calls; the squeeze elements of :mod:`rabi_spectra.squeeze`
-reach it through :func:`p_fast_parts`.
+which no other module calls; single squeeze elements of
+:mod:`rabi_spectra.squeeze` reach it through :func:`p_fast_parts`, and its
+factorization block reaches the kernel's exact integers by the three-term
+relation in n of :func:`_p_triangle`, at O(1) integer steps a value.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
 represents the same polynomials, giving an independent exact oracle.
 """
@@ -26,6 +28,7 @@ represents the same polynomials, giving an independent exact oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,10 +109,13 @@ def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
 
 
 def _signed_exp(sign: float, log_abs: float) -> float:
-    """sign * exp(log_abs), overflowing to +-inf for log_abs > ~709."""
+    """sign * exp(log_abs), overflowing to +-inf where exp leaves the double range."""
     if sign == 0.0:
         return 0.0
-    return sign * (math.inf if log_abs > 709.0 else math.exp(log_abs))
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ class PolyValue:
     ``escalated`` (the value came from the certified integer sum) is always
     True, since that sum is the only route; it stays because the benchmark
     tracer, ``perfbench/tracing.py``, counts it.  ``value`` overflows to
-    +-inf for log_abs > ~709.
+    +-inf past the double range, log_abs > ~709.78.
     """
 
     sign: float
@@ -148,6 +154,29 @@ def _log_ratio(w: int, d: int) -> float:
     return math.fsum((math.log1p((num - den) / den), e * _LN2_HI, e * _LN2_LO))
 
 
+def _binary_fraction(x: float) -> tuple[Fraction, bool]:
+    """x as the exact fraction u/v, and whether u and v fit in 64 bits.
+
+    Short u and v keep the exact integer sums short; past 64 bits (x = 1e300)
+    they grow by that many bits a degree, and floored sums win.
+
+    Raises:
+        ValueError: for a non-finite x.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"argument x={x!r} must be finite")
+    x = Fraction(x)
+    return x, max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64
+
+
+def _parts(w: int, d: int) -> PolyValue:
+    """Sign/log-magnitude of the exact value w/d, d > 0."""
+    if w == 0:
+        return PolyValue(0.0, -math.inf)
+    return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(abs(w), d))
+
+
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
 
@@ -169,24 +198,63 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     if n > MAX_ELEMENT_INDEX:
         size = float(n) if n < 1e308 else math.inf  # float(n) overflows past that
         raise ValueError(f"degree {size:.3g} exceeds the configured range {MAX_ELEMENT_INDEX}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument x={x!r} must be finite")
-    x = Fraction(x)
-    short = max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64
+    x, short = _binary_fraction(x)
     bits = None if n < 64 and short else 192 + n // 2
     while True:
         w, err, shift, d = _exact_sum(n, s, x, bits)
-        if w == 0 and err == 0:
-            return PolyValue(0.0, -math.inf)
         mag = abs(w) << shift
         if err <= abs(w) >> 64 and err << 64 <= abs(mag - d) >> shift:
-            return PolyValue(1.0 if w > 0 else -1.0, _log_ratio(mag, d))
+            return _parts(w << shift, d)
         bits *= 2
 
 
+def _p_triangle(q: int, x: float) -> Iterator[list[PolyValue]]:
+    """For n = 0 .. q-1, the values P_n^{(s)}(x) for s = 0 .. (q-1-n)//2.
+
+    With x = u/v of short u and v (see :func:`_binary_fraction`), row n comes
+    from rows n-1 and n-2 by the exact relation (Pascal's rule on
+    n!/(k! (n-2k)!))
+
+        P_n^{(s)}(x) = 2x P_{n-1}^{(s)}(x) - 2(n-1) P_{n-2}^{(s+1)}(x),
+
+    P_0^{(s)} = 1/s!, P_1^{(s)} = 2x/s!, taken in the integers w = P d of
+    :func:`_exact_sum`, d = v^n (s + n//2)!, where it needs no division:
+
+        w_n^{(s)} = 2u f w_{n-1}^{(s)} - 2(n-1) v^2 w_{n-2}^{(s+1)},
+        f = s + n/2 for even n, 1 for odd n.
+
+    These are the exact sum's integers, so below degree 64 every value equals
+    :func:`p_fast_parts`'s bit for bit; above, it is the value p_fast_parts
+    certifies to 64 bits.  Two rows of integers are kept.  For long u or v,
+    whose integers grow by that length a degree, each value is read from
+    :func:`p_fast_parts` instead.
+
+    Raises:
+        ValueError: for a non-finite x.
+    """
+    frac, short = _binary_fraction(x)
+    if not short:
+        for n in range(q):
+            yield [p_fast_parts(n, s, x) for s in range((q + 1 - n) // 2)]
+        return
+    u2, v = 2 * frac.numerator, frac.denominator
+    older: list[int] = []
+    old: list[int] = []
+    for n in range(q):
+        half = n // 2
+        if n < 2:
+            row = [u2**n] * ((q + 1 - n) // 2)
+        else:
+            step = 2 * (n - 1) * v * v
+            row = [u2 * (1 if n % 2 else s + half) * a - step * b
+                   for s, (a, b) in enumerate(zip(old, older[1:]))]
+        vn = v**n
+        yield [_parts(w, vn * math.factorial(s + half)) for s, w in enumerate(row)]
+        older, old = old, row
+
+
 def p_fast(n: int, s: int, x: float) -> float:
-    """P_n^{(s)}(x) as a float (overflows to +-inf past ~e709)."""
+    """P_n^{(s)}(x) as a float (overflows to +-inf past the double range)."""
     return p_fast_parts(n, s, x).value
 
 
@@ -355,7 +423,7 @@ def p_asym_parts(n_full: int, m_full: int, x: float) -> AsymValue:
 
 
 def p_asym(n_full: int, m_full: int, x: float) -> float:
-    """Float value of the asymptotic form (overflows to +-inf past ~e709)."""
+    """Float value of the asymptotic form (overflows to +-inf past the double range)."""
     return p_asym_parts(n_full, m_full, x).value
 
 

@@ -4,9 +4,12 @@ Two independent constructions are cross-validated:
 
 * :func:`u_element` — the closed-form matrix elements obtained from the
   normal-ordered factorization U = e^{-gamma a+^2} e^{beta (a+a + 1/2)}
-  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam).  It
-  fills the certified block of :func:`factorization_residual`, and its
-  kernel ``_element`` also gives V~ in :mod:`rabi_spectra.perturb`;
+  e^{gamma a^2} with 2 gamma = tanh(2 lam), e^beta = 1/cosh(2 lam).  One
+  assembly, ``_assemble``, turns P into an element: behind u_element and V~
+  in :mod:`rabi_spectra.perturb` (through ``_element``) it reads P from
+  ``polys.p_fast_parts``, and in the certified block of
+  :func:`factorization_residual` from the exact three-term relation of
+  ``polys._p_triangle``, equal to it where its Horner sum is exact;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
   generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
   couples even and odd Fock states, so the exponential is block-diagonal by
@@ -110,21 +113,39 @@ def u_matrix_oracle(n_dim: int, lam: float) -> np.ndarray:
     return _oracle_cached(n_dim, float(lam))
 
 
-def _element(m: int, n: int, t: float, c: float) -> float:
-    """Squeeze element U_{m,n} from t = tanh(2 lam) and c = 1/cosh(2 lam).
+def _assemble(m: int, n: int, t: float, c: float, parts: polys.PolyValue) -> float:
+    """Squeeze element U_{m,n}, m >= n of equal parity, from P_n^{(s)}(c/t) as ``parts``.
 
-    Perelomov's normal-ordered factorization gives, for m >= n, s = (m-n)/2,
+    Perelomov's normal-ordered factorization gives, for s = (m-n)/2,
 
         U_{m,n} = (-1)^s sqrt(c) (t/2)^{n+s} sqrt(m!/n!) P_n^{(s)}(c/t)
 
-    (P of :mod:`rabi_spectra.polys`, in log-magnitude + sign form), and
-    U_{m,n} = (-1)^{(n-m)/2} U_{n,m} for m < n; elements across parities
+    with t = tanh(2 lam) != 0 and c = 1/cosh(2 lam).  The factors are summed
+    as logarithms, which adds about eps (n+s) |ln(t/2)| relative: up to
+    1.5e-11 for indices below 128 at g = 1e-300, where |ln(t/2)| is near 690.
+    """
+    if parts.sign == 0.0:
+        return 0.0
+    s = (m - n) // 2
+    log_abs = (
+        0.5 * math.log(c)
+        + (n + s) * math.log(abs(t) / 2.0)
+        + 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1))
+        + parts.log_abs
+    )
+    sign = (-1.0) ** s * math.copysign(1.0, t) ** (n + s) * parts.sign
+    return sign * math.exp(log_abs)
+
+
+def _element(m: int, n: int, t: float, c: float) -> float:
+    """Squeeze element U_{m,n} from t = tanh(2 lam) and c = 1/cosh(2 lam).
+
+    For m >= n it is :func:`_assemble` of P from ``polys.p_fast_parts``,
+    and U_{m,n} = (-1)^{(n-m)/2} U_{n,m} for m < n; elements across parities
     vanish.  ``p_fast_parts`` sums P to a certified 2^-64 relative, but at
     c/t rounded once to double, so next to a node of P the element is off by
     up to 3.1e-11 relative (V~ at g = 0.2, (m, n) = (453, 405)); checks of a
-    row against it cannot be tighter there.  The factors are summed as
-    logarithms, which adds about eps (n+s) |ln(t/2)| relative: up to 1.5e-11
-    for indices below 128 at g = 1e-300, where |ln(t/2)| is near 690.
+    row against it cannot be tighter there.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
@@ -136,18 +157,14 @@ def _element(m: int, n: int, t: float, c: float) -> float:
         return 1.0 if m == n else 0.0
     if m < n:
         return (-1.0) ** ((n - m) // 2) * _element(n, m, t, c)
-    s = (m - n) // 2
-    parts = polys.p_fast_parts(n, s, c / t)
-    if parts.sign == 0.0:
-        return 0.0
-    log_abs = (
-        0.5 * math.log(c)
-        + (n + s) * math.log(abs(t) / 2.0)
-        + 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1))
-        + parts.log_abs
-    )
-    sign = (-1.0) ** s * math.copysign(1.0, t) ** (n + s) * parts.sign
-    return sign * math.exp(log_abs)
+    return _assemble(m, n, t, c, polys.p_fast_parts(n, (m - n) // 2, c / t))
+
+
+def _tanh_sech(lam: float) -> tuple[float, float]:
+    """(tanh(2 lam), 1/cosh(2 lam)), for |lam| <= 354 only."""
+    if not abs(lam) <= 354.0:  # also NaN
+        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
+    return math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam)
 
 
 def u_element(m: int, n: int, lam: float) -> float:
@@ -158,29 +175,37 @@ def u_element(m: int, n: int, lam: float) -> float:
             range (default 10^5), or unless |lam| <= 354, where
             1/cosh(2 lam) is still a normal double.
     """
-    if not abs(lam) <= 354.0:  # also NaN
-        raise ValueError(f"squeeze parameter lam={lam!r} must be finite with |lam| <= 354")
-    return _element(m, n, math.tanh(2.0 * lam), 1.0 / math.cosh(2.0 * lam))
+    return _element(m, n, *_tanh_sech(lam))
 
 
 def factorization_residual(n_dim: int, lam: float) -> float:
     """Max-abs certified-block residual of the closed form against the oracle.
 
-    Evaluates the top-left quarter block of U through :func:`u_element` and
-    compares it against the exponential oracle.  Each same-parity entry with
-    m >= n is evaluated once and its mirror is filled by the reflection
-    U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
+    Fills the top-left quarter block of U column by column with the closed
+    form of :func:`_assemble`, and compares it against the exponential
+    oracle.  Column n reads P_n^{(s)}(c/t) for every s at once from
+    ``polys._p_triangle``, the exact three-term relation in integers, which
+    equals the Horner sum of ``p_fast_parts`` wherever that sum is exact: so
+    the block equals :func:`u_element` bit for bit below column 64, and
+    everywhere when c/t is not a 64-bit fraction (g = 1e-300).  Each
+    same-parity entry with m >= n is evaluated once and its mirror is filled
+    by the reflection U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
 
     Raises:
         ValueError: for a dimension outside [4, MAX_ORACLE_DIM], where the
             block is not empty, or unless |lam| <= 354, as in :func:`u_element`.
     """
     q = _certified(n_dim)
-    block = np.zeros((q, q))
-    for n in range(q):
-        for m in range(n, q, 2):
-            block[m, n] = u_element(m, n, lam)
-            block[n, m] = (-1) ** ((m - n) // 2) * block[m, n]
+    t, c = _tanh_sech(lam)
+    if t == 0.0:
+        block = np.eye(q)
+    else:
+        block = np.zeros((q, q))
+        for n, column in enumerate(polys._p_triangle(q, c / t)):
+            for s, parts in enumerate(column):
+                m = n + 2 * s
+                block[m, n] = _assemble(m, n, t, c, parts)
+                block[n, m] = (-1) ** s * block[m, n]
     return float(np.max(np.abs(block - u_matrix_oracle(n_dim, lam)[:q, :q])))
 
 

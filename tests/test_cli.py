@@ -367,19 +367,20 @@ class TestVerify:
     def test_factorization_bound_covers_whole_block(self, tmp_path, monkeypatch, capsys):
         # An error of 1e-8 at (100, 98), past the first 64 rows of the block:
         # the 1e-9 bound holds on the whole 128x128 block, so it must FAIL.
-        element = squeeze._element
+        # The block and the scalar elements share one assembly, so the error
+        # goes in there.
+        assemble = squeeze._assemble
 
-        def perturbed(m, n, t, c):
-            return element(m, n, t, c) + (1e-8 if (m, n) == (100, 98) else 0.0)
+        def perturbed(m, n, t, c, parts):
+            return assemble(m, n, t, c, parts) + (1e-8 if (m, n) == (100, 98) else 0.0)
 
-        monkeypatch.setattr(squeeze, "_element", perturbed)
+        monkeypatch.setattr(squeeze, "_assemble", perturbed)
         code = run_cli(["verify", "--suite", "squeeze", "--g", "0.2", "--dim", "512"], tmp_path)
         out = capsys.readouterr().out
         assert code == 1, out
         assert re.search(r"^factorization_residual: \S+ < 1\.0e-09 FAIL$", out, re.M), out
-        # The passing residual closest to the bound, 3.7e-10.  The H0 check
-        # fails at this dimension and coupling, so the exit code is 1.
-        run_cli(["verify", "--suite", "squeeze", "--g", "0.45", "--dim", "64"], tmp_path)
+        # The passing residual closest to the bound, 3.7e-10.
+        assert run_cli(["verify", "--suite", "squeeze", "--g", "0.45", "--dim", "64"], tmp_path) == 0
         out = capsys.readouterr().out
         assert re.search(r"^factorization_residual: 3\.7\d+e-10 < 1\.0e-09 PASS$", out, re.M), out
 
@@ -396,6 +397,25 @@ class TestPoly:
         for r in rows:
             assert float(r[1]) == 1.0
             assert float(r[2]) == pytest.approx(1.0, rel=1e-14)
+
+    def test_cells_overflow_with_their_sign_past_the_double_range(self, tmp_path, capsys):
+        # P_300(20) is about -1e479: p_exact printed inf where p_fast printed -inf.
+        argv = ["poly", "--n", "300", "--m", "300", "--x-min", "20", "--x-max", "20", "--points", "1"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rows == [["20", "-inf", "-inf", "-inf", "inf"]]
+
+    def test_cells_below_the_double_max_stay_finite(self, tmp_path, capsys):
+        # P_134(100) = 1.31e308 is a double: every column printed inf, since
+        # both the exact and the log routes cut at 1e308 and e^709.
+        argv = ["poly", "--n", "134", "--m", "134", "--x-min", "100", "--x-max", "100",
+                "--points", "1"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        exact, fast, asym, env = map(float, rows[0][1:])
+        assert rows[0][1] == "1.3075897881908275e+308"
+        assert fast == pytest.approx(exact, rel=1e-12)
+        assert math.isfinite(asym) and math.isfinite(env)
 
     def test_parity_mismatch_exit_2(self, tmp_path):
         assert run_cli(["poly", "--n", "3", "--m", "4"], tmp_path) == 2

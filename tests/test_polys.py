@@ -172,6 +172,13 @@ class TestFast:
             assert parts.sign == sign
             assert abs(parts.log_abs - log_abs) < 1e-10
 
+    def test_value_overflows_where_the_double_range_ends(self):
+        from rabi_spectra.polys import PolyValue
+
+        # The old cut at log_abs 709 sent e^709.5 = 1.35e308 to inf.
+        assert PolyValue(-1.0, 709.5).value == -math.exp(709.5)
+        assert PolyValue(-1.0, 709.79).value == -math.inf
+
     def test_parts_expose_value(self):
         parts = p_fast_parts(6, 2, 0.8)
         assert parts.value == pytest.approx(
@@ -222,6 +229,43 @@ def exact_routes():
     from rabi_spectra.polys import _exact_sum
 
     return [_exact_sum(n, s, Fraction(x)) for n, s, x in WORKING_PRECISION_GRID]
+
+
+def _block_x(g):
+    """x = c/t, the argument of P in the factorization block, as the block rounds it."""
+    lam = derive_params(g, 1.0).lam
+    return (1.0 / math.cosh(2.0 * lam)) / math.tanh(2.0 * lam)
+
+
+class TestTriangle:
+    @pytest.mark.parametrize("x", [_block_x(0.2), _block_x(0.45), -1.2431440570397516, 3.0, 0.5])
+    def test_integers_equal_exact_sum(self, monkeypatch, x):
+        # The three-term relation reaches the exact Horner sum's integers, at
+        # every n + 2s < 128.
+        from rabi_spectra import polys
+
+        monkeypatch.setattr(polys, "_parts", lambda w, d: (w, d))
+        rows = list(polys._p_triangle(128, x))
+        assert [len(row) for row in rows] == [(129 - n) // 2 for n in range(128)]
+        for n, row in enumerate(rows):
+            for s, (w, d) in enumerate(row):
+                exact_w, _, _, exact_d = polys._exact_sum(n, s, Fraction(x))
+                assert (w, d) == (exact_w, exact_d), (n, s)
+
+    # At g = 1e-300, x = c/t is near 5e299, longer than 64 bits: there
+    # p_fast_parts floors its sums, and the triangle reads it per value.
+    @pytest.mark.parametrize("x", [_block_x(0.2), -1.2431440570397516, 0.0, _block_x(1e-300)])
+    def test_equals_p_fast_parts_below_degree_64(self, x):
+        from rabi_spectra import polys
+
+        for n, row in enumerate(polys._p_triangle(64, x)):
+            assert row == [p_fast_parts(n, s, x) for s in range(len(row))], n
+
+    def test_non_finite_x(self):
+        from rabi_spectra import polys
+
+        with pytest.raises(ValueError, match="finite"):
+            next(polys._p_triangle(8, math.inf))
 
 
 class TestWorkingPrecision:

@@ -150,10 +150,39 @@ class TestFactorization:
         lam = derive_params(0.45, 1.0).lam
         assert factorization_residual(256, lam) < 1e-7
 
+    @pytest.mark.parametrize(
+        "n_dim, lam",
+        [(64, 0.0), (256, derive_params(0.2, 1.0).lam), (256, -derive_params(0.45, 1.0).lam),
+         (512, derive_params(1e-300, 1.0).lam), (256, -derive_params(1e-300, 1.0).lam)],
+    )
+    def test_block_equals_u_element(self, monkeypatch, n_dim, lam):
+        # Against an oracle whose block is the u_element table, the residual
+        # is 0 only if every entry agrees bit for bit.  Below column 64 the
+        # three-term relation and p_fast_parts sum exactly; at g = 1e-300 the
+        # block reads p_fast_parts itself.
+        q = n_dim // 4
+        table = np.array([[u_element(m, n, lam) for n in range(q)] for m in range(q)])
+        monkeypatch.setattr(squeeze, "u_matrix_oracle", lambda *args: table)
+        assert factorization_residual(n_dim, lam) == 0.0
+
+    def test_block_past_column_64_reads_exact_values(self, monkeypatch):
+        # Columns 64..127 come from the exact relation, where p_fast_parts
+        # floors its sum: the two may differ by rounding only (they read 0.0
+        # at g 0.2, 0.45 and 0.49).
+        lam = derive_params(0.2, 1.0).lam
+        table = np.array([[u_element(m, n, lam) for n in range(128)] for m in range(128)])
+        monkeypatch.setattr(squeeze, "u_matrix_oracle", lambda *args: table)
+        assert factorization_residual(512, lam) < 1e-15
+
+    def test_short_fraction_block_makes_no_p_fast_parts_call(self, monkeypatch):
+        lam = derive_params(0.45, 1.0).lam
+        monkeypatch.setattr(squeeze.polys, "p_fast_parts", lambda *args: pytest.fail("called"))
+        assert factorization_residual(256, lam) < 1e-9
+
     @pytest.mark.parametrize("n_dim, g", [(64, 1e-300), (512, 1e-300), (512, 0.45)])
     def test_tiny_and_largest_block(self, n_dim, g):
-        # Tiny g: x = c/t near 5e299, where the log-space assembly of
-        # _element rounds about eps (n+s) |ln(t/2)|.  Dim 512: the 128x128 block.
+        # Tiny g: x = c/t near 5e299, where the log-space assembly,
+        # _assemble, rounds about eps (n+s) |ln(t/2)|.  Dim 512: the 128x128 block.
         assert factorization_residual(n_dim, derive_params(g, 1.0).lam) < 1e-9
 
 
