@@ -8,9 +8,9 @@ Three evaluation routes are provided and cross-validated:
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
   sum cancels catastrophically for large degree (sum|T_k| / |P| grows
   roughly like e^{0.27 n} at the model's evaluation point), so it is summed
-  in integers at the (dyadic rational) double argument, floored to a working
-  precision under an exact running error bound that certifies 64 bits, and
-  only the logarithm of the result is rounded;
+  in integers at the (dyadic rational) double argument, floored to 192 + n/2
+  bits (doubled as needed) under an exact running error bound that
+  certifies 64 bits, and only the logarithm of the result is rounded;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0;
@@ -19,8 +19,8 @@ Three evaluation routes are provided and cross-validated:
 :func:`p_exact` and :func:`p_fast` share one integer kernel, :func:`_exact_sum`,
 which no other module calls; single squeeze elements of
 :mod:`rabi_spectra.squeeze` reach it through :func:`p_fast_parts`, and its
-factorization block reaches the kernel's exact integers by the three-term
-relation in n of :func:`_p_triangle`, at O(1) integer steps a value.
+factorization block reaches the kernel's exact integers, at every x, by the
+three-term relation in n of :func:`_p_triangle`, at O(1) integer steps a value.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
 represents the same polynomials, giving an independent exact oracle.
 """
@@ -98,13 +98,17 @@ def _exact_sum(n: int, s: int, x: Fraction, bits: int | None = None) -> tuple[in
     return acc, err, shift, v**n * math.factorial(s + half)
 
 
-def p_exact(n: int, s: int, x: Fraction | int) -> Fraction:
-    """P_n^{(s)}(x) in exact rational arithmetic (degree guard n <= 400)."""
+def p_exact(n: int, s: int, x: Fraction | int | float) -> Fraction:
+    """P_n^{(s)}(x) in exact rational arithmetic (degree guard n <= 400).
+
+    A float x is read at its binary value; a non-finite one raises ValueError.
+    """
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
     if n > MAX_EXACT_DEGREE:
         raise ValueError(f"exact evaluation guarded to degree {MAX_EXACT_DEGREE}")
-    w, _, _, d = _exact_sum(n, s, Fraction(x))
+    x = _binary_fraction(x) if isinstance(x, float) else Fraction(x)
+    w, _, _, d = _exact_sum(n, s, x)
     return Fraction(w, d)
 
 
@@ -154,11 +158,8 @@ def _log_ratio(w: int, d: int) -> float:
     return math.fsum((math.log1p((num - den) / den), e * _LN2_HI, e * _LN2_LO))
 
 
-def _binary_fraction(x: float) -> tuple[Fraction, bool]:
-    """x as the exact fraction u/v, and whether u and v fit in 64 bits.
-
-    Short u and v keep the exact integer sums short; past 64 bits (x = 1e300)
-    they grow by that many bits a degree, and floored sums win.
+def _binary_fraction(x: float) -> Fraction:
+    """x as the exact fraction u/v of its binary value.
 
     Raises:
         ValueError: for a non-finite x.
@@ -166,8 +167,7 @@ def _binary_fraction(x: float) -> tuple[Fraction, bool]:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument x={x!r} must be finite")
-    x = Fraction(x)
-    return x, max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64
+    return Fraction(x)
 
 
 def _parts(w: int, d: int) -> PolyValue:
@@ -180,11 +180,8 @@ def _parts(w: int, d: int) -> PolyValue:
 def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     """Sign/log-magnitude of P_n^{(s)}(x), accurate for any index scale.
 
-    Read from the integer sum at x taken as a binary fraction u/v.  Below
-    degree 64, with u and v of at most 64 bits, the sum is exact: there its
-    integers stay short and the bookkeeping of floors costs more than it
-    saves (at x = 1e300 they are long, and floors win).  Otherwise it runs
-    at 192 + n/2 bits, doubled until the error bound certifies 64 bits of
+    Read from the integer sum at x taken as a binary fraction u/v, run at
+    192 + n/2 bits and doubled until the error bound certifies 64 bits of
     |P| and of |P| - 1 (the logarithm's relative accuracy near |P| = 1).
     Doubling ends at the exact sum, which alone returns a zero; the log is
     rounded once.
@@ -198,8 +195,8 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     if n > MAX_ELEMENT_INDEX:
         size = float(n) if n < 1e308 else math.inf  # float(n) overflows past that
         raise ValueError(f"degree {size:.3g} exceeds the configured range {MAX_ELEMENT_INDEX}")
-    x, short = _binary_fraction(x)
-    bits = None if n < 64 and short else 192 + n // 2
+    x = _binary_fraction(x)
+    bits = 192 + n // 2
     while True:
         w, err, shift, d = _exact_sum(n, s, x, bits)
         mag = abs(w) << shift
@@ -211,9 +208,8 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
 def _p_triangle(q: int, x: float) -> Iterator[list[PolyValue]]:
     """For n = 0 .. q-1, the values P_n^{(s)}(x) for s = 0 .. (q-1-n)//2.
 
-    With x = u/v of short u and v (see :func:`_binary_fraction`), row n comes
-    from rows n-1 and n-2 by the exact relation (Pascal's rule on
-    n!/(k! (n-2k)!))
+    With x = u/v (see :func:`_binary_fraction`), row n comes from rows n-1
+    and n-2 by the exact relation (Pascal's rule on n!/(k! (n-2k)!))
 
         P_n^{(s)}(x) = 2x P_{n-1}^{(s)}(x) - 2(n-1) P_{n-2}^{(s+1)}(x),
 
@@ -223,21 +219,18 @@ def _p_triangle(q: int, x: float) -> Iterator[list[PolyValue]]:
         w_n^{(s)} = 2u f w_{n-1}^{(s)} - 2(n-1) v^2 w_{n-2}^{(s+1)},
         f = s + n/2 for even n, 1 for odd n.
 
-    These are the exact sum's integers, so below degree 64 every value equals
-    :func:`p_fast_parts`'s bit for bit; above, it is the value p_fast_parts
-    certifies to 64 bits.  Two rows of integers are kept.  For long u or v,
-    whose integers grow by that length a degree, each value is read from
-    :func:`p_fast_parts` instead.
+    These are the exact sum's integers, so every value is one that
+    :func:`p_fast_parts` certifies to 64 bits.  Two rows of integers are
+    kept; for long u or v (x = 1e300) they grow by that length a degree.
 
     Raises:
         ValueError: for a non-finite x.
     """
-    frac, short = _binary_fraction(x)
-    if not short:
-        for n in range(q):
-            yield [p_fast_parts(n, s, x) for s in range((q + 1 - n) // 2)]
-        return
+    frac = _binary_fraction(x)
     u2, v = 2 * frac.numerator, frac.denominator
+    # u2 = m 2^z with m of at most 53 bits, so a long u2 costs a shift, not a long product.
+    z = max((u2 & -u2).bit_length() - 1, 0)
+    m = u2 >> z
     older: list[int] = []
     old: list[int] = []
     for n in range(q):
@@ -246,7 +239,7 @@ def _p_triangle(q: int, x: float) -> Iterator[list[PolyValue]]:
             row = [u2**n] * ((q + 1 - n) // 2)
         else:
             step = 2 * (n - 1) * v * v
-            row = [u2 * (1 if n % 2 else s + half) * a - step * b
+            row = [(m * (1 if n % 2 else s + half) * a << z) - step * b
                    for s, (a, b) in enumerate(zip(old, older[1:]))]
         vn = v**n
         yield [_parts(w, vn * math.factorial(s + half)) for s, w in enumerate(row)]

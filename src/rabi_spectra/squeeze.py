@@ -9,7 +9,7 @@ Two independent constructions are cross-validated:
   in :mod:`rabi_spectra.perturb` (through ``_element``) it reads P from
   ``polys.p_fast_parts``, and in the certified block of
   :func:`factorization_residual` from the exact three-term relation of
-  ``polys._p_triangle``, equal to it where its Horner sum is exact;
+  ``polys._p_triangle``, whose values p_fast_parts certifies to 64 bits;
 * :func:`u_matrix_oracle` — the matrix exponential of the truncated
   generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
   couples even and odd Fock states, so the exponential is block-diagonal by
@@ -184,12 +184,11 @@ def factorization_residual(n_dim: int, lam: float) -> float:
     Fills the top-left quarter block of U column by column with the closed
     form of :func:`_assemble`, and compares it against the exponential
     oracle.  Column n reads P_n^{(s)}(c/t) for every s at once from
-    ``polys._p_triangle``, the exact three-term relation in integers, which
-    equals the Horner sum of ``p_fast_parts`` wherever that sum is exact: so
-    the block equals :func:`u_element` bit for bit below column 64, and
-    everywhere when c/t is not a 64-bit fraction (g = 1e-300).  Each
-    same-parity entry with m >= n is evaluated once and its mirror is filled
-    by the reflection U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
+    ``polys._p_triangle``, the exact three-term relation in integers, whose
+    values ``p_fast_parts`` certifies to 64 bits from Horner sums floored at
+    192 + n/2 bits or more: so the block agrees with :func:`u_element` to
+    rounding.  Each same-parity entry with m >= n is evaluated once and its
+    mirror is filled by the reflection U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
 
     Raises:
         ValueError: for a dimension outside [4, MAX_ORACLE_DIM], where the

@@ -77,6 +77,16 @@ class TestExact:
         with pytest.raises(ValueError):
             p_exact(-1, 0, Fraction(1))
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x(self, x):
+        # The ValueError of p_fast_parts, not the OverflowError of Fraction(inf).
+        with pytest.raises(ValueError, match="finite"):
+            p_exact(3, 1, x)
+
+    def test_int_past_the_double_range_stays_exact(self):
+        # Only a float goes through the finite check; an int is never rounded.
+        assert p_exact(2, 0, 10**400) == 4 * 10**800 - 2
+
 
 class TestFast:
     def test_matches_exact_on_random_panel(self):
@@ -238,22 +248,28 @@ def _block_x(g):
 
 
 class TestTriangle:
-    @pytest.mark.parametrize("x", [_block_x(0.2), _block_x(0.45), -1.2431440570397516, 3.0, 0.5])
+    @pytest.mark.parametrize(
+        "x", [_block_x(0.2), _block_x(0.45), -1.2431440570397516, 3.0, 0.5, _block_x(1e-300)]
+    )
     def test_integers_equal_exact_sum(self, monkeypatch, x):
         # The three-term relation reaches the exact Horner sum's integers, at
-        # every n + 2s < 128.
+        # every n + 2s < q: q = 128, or 32 at g = 1e-300, where x = c/t near
+        # 5e299 has a 1000-bit numerator and each exact sum grows that much a
+        # degree.
         from rabi_spectra import polys
 
+        q = 32 if abs(x) > 1e299 else 128
         monkeypatch.setattr(polys, "_parts", lambda w, d: (w, d))
-        rows = list(polys._p_triangle(128, x))
-        assert [len(row) for row in rows] == [(129 - n) // 2 for n in range(128)]
+        rows = list(polys._p_triangle(q, x))
+        assert [len(row) for row in rows] == [(q + 1 - n) // 2 for n in range(q)]
         for n, row in enumerate(rows):
             for s, (w, d) in enumerate(row):
                 exact_w, _, _, exact_d = polys._exact_sum(n, s, Fraction(x))
                 assert (w, d) == (exact_w, exact_d), (n, s)
 
-    # At g = 1e-300, x = c/t is near 5e299, longer than 64 bits: there
-    # p_fast_parts floors its sums, and the triangle reads it per value.
+    # p_fast_parts floors its Horner sums at 192 + n/2 bits or more, so the
+    # exact integers of the triangle round to the same double, also at
+    # g = 1e-300, where x = c/t near 5e299 is longer than 64 bits.
     @pytest.mark.parametrize("x", [_block_x(0.2), -1.2431440570397516, 0.0, _block_x(1e-300)])
     def test_equals_p_fast_parts_below_degree_64(self, x):
         from rabi_spectra import polys
@@ -295,11 +311,12 @@ class TestWorkingPrecision:
             assert d == d_exact
             assert abs(exact - (w << shift)) <= err << shift, (n, s, x, bits)
 
-    # Exact below degree 64 at a 64-bit fraction x; floored from degree 64 on,
-    # and at an x whose numerator (1e300) or denominator (1e-300) is longer.
+    # One start, 192 + n // 2 bits, below degree 64 as from degree 64 on, at
+    # a 64-bit fraction x and at an x whose numerator (1e300) or denominator
+    # (1e-300) is longer.
     @pytest.mark.parametrize(
         "n,x,bits",
-        [(0, MODEL_X, None), (63, MODEL_X, None), (63, -4.75, None), (64, MODEL_X, 224),
+        [(0, MODEL_X, 192), (63, MODEL_X, 223), (63, -4.75, 223), (64, MODEL_X, 224),
          (65, MODEL_X, 224), (400, MODEL_X, 392), (40, 1e300, 212), (1, -1e-300, 192)],
     )
     def test_exact_below_degree_64(self, n, x, bits, monkeypatch):
@@ -314,7 +331,7 @@ class TestWorkingPrecision:
 
         monkeypatch.setattr(polys, "_exact_sum", spy)
         polys.p_fast_parts(n, 3, x)
-        assert starts[0] == bits
+        assert starts[0] == bits == 192 + n // 2
 
     def test_grid_reaches_the_floored_route(self):
         # From degree 64 on, most grid cases floor at the production start, so

@@ -157,9 +157,10 @@ class TestFactorization:
     )
     def test_block_equals_u_element(self, monkeypatch, n_dim, lam):
         # Against an oracle whose block is the u_element table, the residual
-        # is 0 only if every entry agrees bit for bit.  Below column 64 the
-        # three-term relation and p_fast_parts sum exactly; at g = 1e-300 the
-        # block reads p_fast_parts itself.
+        # is 0 only if every entry agrees bit for bit.  The block reads the
+        # exact integers of the three-term relation, and p_fast_parts floors
+        # its Horner sums at 192 + n/2 bits or more: both round to the same
+        # double here, at g = 1e-300 too.
         q = n_dim // 4
         table = np.array([[u_element(m, n, lam) for n in range(q)] for m in range(q)])
         monkeypatch.setattr(squeeze, "u_matrix_oracle", lambda *args: table)
@@ -174,10 +175,11 @@ class TestFactorization:
         monkeypatch.setattr(squeeze, "u_matrix_oracle", lambda *args: table)
         assert factorization_residual(512, lam) < 1e-15
 
-    def test_short_fraction_block_makes_no_p_fast_parts_call(self, monkeypatch):
-        lam = derive_params(0.45, 1.0).lam
+    def test_block_makes_no_p_fast_parts_call(self, monkeypatch):
+        # g = 1e-300: x = c/t near 5e299 is longer than 64 bits.
         monkeypatch.setattr(squeeze.polys, "p_fast_parts", lambda *args: pytest.fail("called"))
-        assert factorization_residual(256, lam) < 1e-9
+        for g in (0.45, 1e-300):
+            assert factorization_residual(256, derive_params(g, 1.0).lam) < 1e-9
 
     @pytest.mark.parametrize("n_dim, g", [(64, 1e-300), (512, 1e-300), (512, 0.45)])
     def test_tiny_and_largest_block(self, n_dim, g):
