@@ -3,32 +3,31 @@
 Two independent routes are kept deliberately decoupled so each can serve as
 an oracle for the other:
 
-* Sturm-sequence multisection on symmetric tridiagonal matrices (the
-  production path): each sweep counts up to ``_SWEEP_SHIFTS`` shifts spread
-  over the eigenvalue brackets, so few brackets shrink by a large factor per
-  sweep and many brackets are bisected; a sweep stops at the chain's
+* Sturm-sequence counts on symmetric tridiagonal matrices (the production
+  path): each sweep counts many shifts at once and stops at the chain's
   count-free tail, past the top shift's turning point, where a floor on
-  every pivot, set at the top shift, proves that no shift gains a count, and
+  every pivot, set at the top shift, proves that no shift gains a count.
+  Multisection, ``_SWEEP_SHIFTS`` shifts per sweep spread over the
+  brackets, solves a whole matrix and is the certificate's fallback, and
 * LAPACK's dense symmetric eigensolver (``numpy.linalg.eigvalsh``) on small
   matrices.
 
-Levels of the infinite Fock chains are certified from one truncation when
-possible: the chain is cut a decay margin past the turning point of the top
-level, and each level is narrowed from its Weyl bracket around the exactly
-solvable Delta = 0 spectrum, with no sweep to check the bracket.  Its final
-bracket encloses the level of the infinite chain from above by Weyl's
-inequality or min-max and, from below, by one Sturm count of the truncation
-with its last diagonal lowered by the dropped coupling (a rank-one split
-whose tail lies above a closed-form floor), each up to one rounding
-allowance from the backward error of the Sturm count.  Where bisection would
-take many sweeps, a bracket is set around a Newton guess on log|det(T_N - x)|
-(Li and Zeng 1994) and proved by the same counts, its upper end by one of T_N;
-a level that fails either count is bisected.  Newton starts from the
-three-term asymptotic formula and stops once the steps show that nearly
-every guess has converged.  One chain is built
-per certificate, after a work budget of sites x levels is checked.  Since a
-sweep's early stop leaves every count as the full sweep's, the brackets,
-the certificate and its allowance are those of a full sweep.
+Levels of the infinite Fock chains are certified from one truncation, cut a
+decay margin past the turning point of the top level.  Each level is guessed
+by Newton steps on log|det(T_N - x)| (Li and Zeng 1994) from the three-term
+asymptotic formula, inside its Weyl bracket around the exactly solvable
+Delta = 0 spectrum, and the steps stop once nearly every guess has
+converged.  A bracket around the guess encloses the level of the infinite
+chain from above by one Sturm count of the truncation and, from below, by
+one Sturm count of the truncation with its last diagonal lowered by the
+dropped coupling (a rank-one split whose tail lies above a closed-form
+floor), each up to one rounding allowance from the backward error of the
+Sturm count.  A level that fails either count is bisected from its Weyl
+bracket, with no sweep to check that bracket, and its lower end counted
+again.  One chain is built per certificate, after a work budget of sites x
+levels is checked.  Since a sweep's early stop leaves every count as the
+full sweep's, the brackets, the certificate and its allowance are those of
+a full sweep.
 """
 
 from __future__ import annotations
@@ -60,10 +59,8 @@ _PATHS = ("direct", "a_posteriori")
 _SWEEP_BLOCK = 16
 # Shifts per Sturm sweep of _bisect, shared out among the brackets.
 _SWEEP_SHIFTS = 512
-# Cap on the Newton sweeps of converged_levels, and their cost in Sturm sweeps (one
-# costs 2.1-3.2): the gate to Newton assumes the cap, though most runs stop earlier.
+# Cap on the Newton sweeps of converged_levels; most runs stop earlier.
 _NEWTON_SWEEPS = 5
-_NEWTON_COST = 3 * _NEWTON_SWEEPS
 
 
 class ConvergenceError(RuntimeError):
@@ -328,15 +325,24 @@ def converged_levels(
     the tail floor F below clears the top level (``_first_truncation``).  The
     Delta = 0 chain has the exact levels mu_k = omega (2k + p + 1/2) - 1/2 and
     the perturbation has norm |Delta|/2, so by Weyl's inequality level k lies
-    in mu_k -+ |Delta|/2.  Multisection of T_N starts, unchecked, from
-    mu_k -+ (|Delta|/2 + tol) and ends with brackets [lo_k, hi_k], each of
-    which encloses eigenvalue k of the infinite chain H up to the rounding
-    allowance a below:
+    in mu_k -+ |Delta|/2, inside the unchecked Weyl bracket
+    mu_k -+ (|Delta|/2 + tol).
 
-    * upper end: ``_bisect`` leaves hi_k at its start, where Weyl's
-      inequality gives lambda_k(H) <= mu_k + |Delta|/2 < hi_k (tol is far
-      above the rounding of mu_k), or moves it to a point whose count of T_N
-      is above k, where min-max gives lambda_k(H) <= theta_k(T_N) < hi_k + a;
+    Guess x_k comes from Newton steps on log|det(T_N - x)|, each clipped to
+    the Weyl bracket.  They start from the three-term formula mu_k +- V~_nn
+    asymptotics at Fock index n = 2k + p, the sign the branch's, clipped to
+    the bracket; level 0, which has no such value, starts from mu_0.  Newton
+    converges quadratically on the scale of the level spacing, so a step s_k
+    with s_k^2 <= omega (tol - a)/4 is taken to leave its guess within
+    (tol - a)/4 of the level, unless the step was clipped to a bracket end,
+    which lies at least tol from the level; the sweeps stop once at most
+    level_count // 8 guesses are left late by either test, after
+    ``_NEWTON_SWEEPS`` at most.  Level k keeps [lo_k, hi_k] =
+    x_k -+ (tol - a)/4 if both of its ends pass, each enclosing eigenvalue k
+    of the infinite chain H up to the rounding allowance a below:
+
+    * upper end: an explicit count(T_N, hi_k) > k, where min-max gives
+      lambda_k(H) <= theta_k(T_N) < hi_k + a;
     * lower end: with b = b_N-1 the coupling to the first dropped site,
       H - b (e_N-1 + e_N)(e_N-1 + e_N)^T splits into T' (T_N with its last
       diagonal lowered by b) and the dropped tail with its first diagonal
@@ -346,22 +352,14 @@ def converged_levels(
       most k eigenvalues below lo_k < F, min-max gives lambda_k(H) >= lo_k - a
       (Parlett, The Symmetric Eigenvalue Problem, ch. 10).
 
+    A level that fails either end is bisected by ``_bisect`` from its Weyl
+    bracket to width tol - a, with its absolute index, and its new lower end
+    is counted as above.  Its upper end needs no count: ``_bisect`` leaves
+    hi_k at its start, where Weyl's inequality gives
+    lambda_k(H) <= mu_k + |Delta|/2 < hi_k (tol is far above the rounding of
+    mu_k), or moves it to a point whose count of T_N is above k, as above.
     A bracket collapses onto a wrong start end, so the count of T' or the
     bound rejects its level: ConvergenceError, never a wrong certificate.
-    Newton levels: above ``_SWEEP_SHIFTS // 2`` levels, where bisection's
-    halvings log2(start width / (tol - a)) exceed ``_NEWTON_COST``, guess x_k
-    comes from Newton steps on log|det(T_N - x)|, each clipped to the Weyl
-    bracket.  They start from the three-term formula mu_k +- V~_nn
-    asymptotics at Fock index n = 2k + p, the sign the branch's, clipped to
-    the bracket; level 0, which has no such value, starts from mu_0.  Newton
-    converges quadratically on the scale of the level spacing, so a step s_k
-    with s_k^2 <= omega (tol - a)/4 is taken to leave its guess within
-    (tol - a)/4 of the level, unless the step was clipped to a bracket end,
-    which lies at least tol from the level; the sweeps stop once at most
-    level_count // 8 guesses are left late by either test, after
-    ``_NEWTON_SWEEPS`` at most.  Level k keeps x_k -+ (tol - a)/4
-    if an explicit count(T_N, hi_k) > k proves its upper end and its lower end
-    passes; other levels are bisected, with their absolute indices, as above.
     A computed Sturm count is the exact count of T + E with |E_ii| <= eps
     |d_i - x| and off-diagonals off by at most 2.5 eps relative (Kahan 1966;
     Demmel, Applied Numerical Linear Algebra, sec. 5.3), so
@@ -409,25 +407,23 @@ def converged_levels(
     tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread - allowance
     width = tol - allowance
     lo, hi = mu - (spread + tol), mu + (spread + tol)
-    enclosed = np.zeros(level_count, dtype=bool)
-    if level_count > _SWEEP_SHIFTS // 2 and math.log2(2.0 * (spread + tol) / width) > _NEWTON_COST:
-        # A longer step may leave its guess more than (tol - a)/4 off its level.
-        late_sq = params.omega * width / 4.0
-        with np.errstate(all="ignore"):
-            # Level 0's asymptotics is inf or NaN, so it starts from mu_0.
-            x = mu + chain.branch.sign * _diag_asym(params, 2 * ks + chain.parity.offset)
-            x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(x), x, mu)))
-            for _ in range(_NEWTON_SWEEPS):
-                # A NaN step lands on hi, since np.fmin drops NaN.
-                new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
-                late = np.count_nonzero(((new - x) ** 2 > late_sq) | (new == lo) | (new == hi))
-                x = new
-                if late <= level_count // 8:
-                    break
-        lo_x, hi_x = x - width / 4.0, x + width / 4.0
-        enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
-        enclosed &= _sturm_counts(lowered, lo_x) <= ks
-        lo, hi = np.where(enclosed, lo_x, lo), np.where(enclosed, hi_x, hi)
+    # A longer step may leave its guess more than (tol - a)/4 off its level.
+    late_sq = params.omega * width / 4.0
+    with np.errstate(all="ignore"):
+        # Level 0's asymptotics is inf or NaN, so it starts from mu_0.
+        x = mu + chain.branch.sign * _diag_asym(params, 2 * ks + chain.parity.offset)
+        x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(x), x, mu)))
+        for _ in range(_NEWTON_SWEEPS):
+            # A NaN step lands on hi, since np.fmin drops NaN.
+            new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
+            late = np.count_nonzero(((new - x) ** 2 > late_sq) | (new == lo) | (new == hi))
+            x = new
+            if late <= level_count // 8:
+                break
+    lo_x, hi_x = x - width / 4.0, x + width / 4.0
+    enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
+    enclosed &= _sturm_counts(lowered, lo_x) <= ks
+    lo, hi = np.where(enclosed, lo_x, lo), np.where(enclosed, hi_x, hi)
     bad = ~enclosed
     if bad.any():
         lo[bad], hi[bad] = _bisect(t, lo[bad], hi[bad], width, ks[bad])

@@ -349,24 +349,32 @@ def cert_floor(p, chain, levels):
 
 class TestMultisection:
     @pytest.mark.parametrize("g", [0.06, 0.2, 0.43, 0.485])
-    def test_small_spectrum_takes_ten_sweeps(self, sweep_counter, g):
-        # Multisection from the unchecked Weyl brackets + lowered count: no
-        # sweep checks the start brackets.  Plain bisection took 40.
+    def test_small_spectrum_takes_ten_sweeps(self, slope_counter, sweep_counter, g):
+        # Newton from the three-term start, a count at every hi and lo, and
+        # multisection of the levels that fail either from their unchecked
+        # Weyl brackets: no sweep checks the start brackets.  Plain
+        # bisection took 40.
         s = converged_levels(derive_params(g, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 20, 1e-10)
         assert s.path == "a_posteriori"
         assert sweep_counter[0] <= 9
+        assert slope_counter[0] <= _NEWTON_SWEEPS
 
     def test_forced_short_start_sweeps(self, monkeypatch, sweep_counter):
         # At 64 sites the truncation lifts levels 14-19 above their Weyl
         # brackets.  Their brackets collapse onto the start tops, which are
         # kept, not widened to the Gershgorin interval, so the rejection
-        # costs no more sweeps than a certificate.
+        # costs no more sweeps than a certificate: the counts at every hi
+        # and lo, the (pts + 1)-fold cuts that take all 20 Weyl brackets at
+        # most down to width tol - a, and one count at the lo of those
+        # bisected.  From the Gershgorin interval the cuts take one sweep more.
+        p, chain, tol = derive_params(0.49, -6.0), ChainSelector(Branch.PLUS, Parity.ODD), 1e-12
         monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 64)
         with pytest.raises(ConvergenceError, match="chain dimension 64"):
-            converged_levels(
-                derive_params(0.49, -6.0), ChainSelector(Branch.PLUS, Parity.ODD), 20, 1e-12
-            )
-        assert sweep_counter[0] <= 11
+            converged_levels(p, chain, 20, tol)
+        allowance = 4 * np.finfo(float).eps * max(1.0, *np.abs(build_chain(p, chain, 65).gershgorin()))
+        halvings = math.log2(2 * (abs(p.delta) / 2 + tol) / (tol - allowance))
+        cuts = math.ceil(halvings / math.log2(_SWEEP_SHIFTS // 20 + 1))
+        assert sweep_counter[0] <= 2 + cuts + 1 == 13
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_many_brackets_are_bisected(self, sweep_counter, extra):
@@ -605,13 +613,17 @@ class TestConvergedLevels:
 CRITERION_9 = (derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 401, 1e-8)
 
 
-@pytest.fixture(scope="module")
-def criterion_9_lapack():
-    """Lowest levels of the criterion-9 chain by LAPACK at twice its first truncation, and their error."""
-    p, chain, levels, _ = CRITERION_9
+def lapack_levels(p, chain, levels):
+    """Lowest levels by LAPACK at twice the first truncation, and their error."""
     dense = build_chain(p, chain, 2 * int(_first_truncation(p, chain, levels))).to_dense()
     # LAPACK's own error is of order eps times the matrix norm.
     return np.linalg.eigvalsh(dense)[:levels], np.finfo(float).eps * float(np.max(np.abs(dense).sum(axis=1)))
+
+
+@pytest.fixture(scope="module")
+def criterion_9_lapack():
+    """Lowest levels of the criterion-9 chain by LAPACK at twice its first truncation, and their error."""
+    return lapack_levels(*CRITERION_9[:3])
 
 
 def assert_encloses(s, lapack):
@@ -621,11 +633,12 @@ def assert_encloses(s, lapack):
 
 
 class TestNewtonGuesses:
-    def test_cheap_bisection_keeps_its_route(self, slope_counter, sweep_counter):
-        # From brackets 2 tol wide, bisection takes 2 sweeps and the lower
-        # ends one count: less than a single Newton sweep costs.
+    def test_zero_delta_start_is_exact(self, slope_counter, sweep_counter):
+        # At Delta = 0 the three-term start is the exact level, so the first
+        # Newton step is late for no level: one slope sweep and the two
+        # certificate counts.
         s = converged_levels(derive_params(0.2, 0.0), ChainSelector(Branch.PLUS, Parity.EVEN), 300, 1e-8)
-        assert slope_counter[0] == 0 and sweep_counter[0] == 3
+        assert slope_counter[0] == 1 and sweep_counter[0] == 2
         assert np.all(exact_zero_delta_errors(s, 0.2, Parity.EVEN) <= s.bounds)
 
     # Bisection took 28 sweeps and a count.  Newton from the three-term
@@ -686,15 +699,25 @@ class TestNewtonGuesses:
             s = converged_levels(*CRITERION_9)
         assert_encloses(s, criterion_9_lapack)
 
-    # The start is formed only on the Newton route, after the work budget.
-    def test_start_only_on_newton_route(self, monkeypatch):
+    # The start is formed after the work budget.
+    def test_no_start_past_the_budget(self, monkeypatch):
         calls = []
         monkeypatch.setattr(eigensolve, "_diag_asym", lambda p, fock: calls.append(fock.size))
         p, chain, _, tol = CRITERION_9
-        converged_levels(p, chain, 20, tol)
         with pytest.raises(ConvergenceError, match="sites x levels"):
             converged_levels(p, chain, 2**40, tol)
         assert calls == []
+
+    # Every level count takes one route.  The edges of its stop rule: below
+    # 8 levels no guess may be left late, from 8 on one may.  Past 256
+    # brackets a multisection sweep falls from two points per bracket to one.
+    @pytest.mark.parametrize("levels", [1, 7, 8, 9, 255, 257])
+    @pytest.mark.parametrize("g,delta", [(0.2, 1.0), (0.45, 6.0), (0.05, 20.0)])
+    def test_one_route_at_every_level_count(self, slope_counter, g, delta, levels):
+        p, chain = derive_params(g, delta), ChainSelector(Branch.PLUS, Parity.ODD)
+        s = converged_levels(p, chain, levels, 1e-8)
+        assert slope_counter[0] <= _NEWTON_SWEEPS
+        assert_encloses(s, lapack_levels(p, chain, levels))
 
 
 def exact_zero_delta_errors(s, g, parity):
