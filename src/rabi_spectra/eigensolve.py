@@ -13,21 +13,24 @@ an oracle for the other:
   matrices.
 
 Levels of the infinite Fock chains are certified from one truncation, cut a
-decay margin past the turning point of the top level.  Each level is guessed
-by Newton steps on log|det(T_N - x)| (Li and Zeng 1994) from the three-term
+decay margin past the turning point of the top level; a window certifies
+levels k0 .. k1 only, with the truncation of k1.  Each level is guessed by
+Newton steps on log|det(T_N - x)| (Li and Zeng 1994) from the three-term
 asymptotic formula, inside its Weyl bracket around the exactly solvable
 Delta = 0 spectrum, and the steps stop once nearly every guess has
-converged.  A bracket around the guess encloses the level of the infinite
-chain from above by one Sturm count of the truncation and, from below, by
-one Sturm count of the truncation with its last diagonal lowered by the
-dropped coupling (a rank-one split whose tail lies above a closed-form
-floor), each up to one rounding allowance from the backward error of the
-Sturm count.  A level that fails either count is bisected from its Weyl
-bracket, with no sweep to check that bracket, and its lower end counted
-again.  One chain is built per certificate, after a work budget of sites x
-levels is checked.  Since a sweep's early stop leaves every count as the
-full sweep's, the brackets, the certificate and its allowance are those of
-a full sweep.
+converged; each slope is read by the complex step (Squire and Trapp 1998)
+from one pivot sweep at x + ih.  A bracket around the guess encloses the
+level of the infinite chain from above by a Sturm count of the truncation
+and, from below, by a Sturm count of the truncation with its last diagonal
+lowered by the dropped coupling (a rank-one split whose tail lies above a
+closed-form floor), each up to one rounding allowance from the backward
+error of the Sturm count; the two matrices differ only in their last
+diagonal, so one sweep makes both counts.  A level that fails either count
+is bisected from its Weyl bracket, with no sweep to check that bracket, and
+counted again.  One chain is built per certificate, after a work budget of
+sites x window levels is checked.  Since a sweep's early stop leaves every
+count as the full sweep's, the brackets, the certificate and its allowance
+are those of a full sweep.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ _SWEEP_BLOCK = 16
 _SWEEP_SHIFTS = 512
 # Cap on the Newton sweeps of converged_levels; most runs stop earlier.
 _NEWTON_SWEEPS = 5
+# Imaginary step of _det_slopes: h^2 is far below the rounding of any pivot.
+_SLOPE_STEP = 2.0**-200
 
 
 class ConvergenceError(RuntimeError):
@@ -77,7 +82,8 @@ class Spectrum:
     unless the solver supplies one) and ``path`` names the route behind it:
     ``"direct"`` for a solve of the given matrix, ``"a_posteriori"`` when
     every level of an infinite chain is enclosed by its bracket (see
-    :func:`converged_levels`).
+    :func:`converged_levels`).  ``first`` is the index of the lowest level
+    held: ``values[j]`` is level first + j.
     """
 
     values: np.ndarray
@@ -85,6 +91,7 @@ class Spectrum:
     tol: float
     bounds: np.ndarray | None = None
     path: str = "direct"
+    first: int = 0
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -102,8 +109,12 @@ class Spectrum:
             raise ValueError(f"path must be one of {_PATHS}")
 
 
-def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
+def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in ``xs``.
+
+    With ``last``, shift j counts the eigenvalues of ``t`` with its last
+    diagonal replaced by last_j, so that one sweep counts matrices that
+    differ only there.
 
     The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} are swept unguarded,
     ``_SWEEP_BLOCK`` sites at a time: each pivot overwrites d_i - x in the
@@ -126,7 +137,9 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     equal the full sweep's bit for bit (Kahan 1966; Parlett, The Symmetric
     Eigenvalue Problem, ch. 10).  No rounding allowance enters, so the bound
     holds where b^2 is subnormal, and a zero coupling's floor is 0/0 = NaN,
-    which fails the test and only moves the end later.
+    which fails the test and only moves the end later.  With ``last`` the
+    last site's floor starts from min(last) - X, below every rounded
+    last_j - x_j by the same monotonicity.
     """
     xs = np.asarray(xs, dtype=float)
     off_sq = np.concatenate([[0.0], t.off**2])
@@ -137,8 +150,11 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     count = np.zeros(xs.shape, dtype=np.int64)
     size = np.abs(t.off)
     # The pivot floor f_i at the top shift; a zero coupling's 0/0 fails the gate.
+    top = float(xs.max(initial=-math.inf))
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = t.diag - float(xs.max(initial=-math.inf))
+        floor = t.diag - top
+        if last is not None:
+            floor[-1] = float(np.min(last, initial=math.inf)) - top
         floor[1:] -= off_sq[1:] / size
     proved = floor > 0
     proved[:-1] &= floor[:-1] >= size
@@ -149,7 +165,11 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
             if start >= gate and q.min(initial=math.inf) >= size[start - 1]:
                 break
             block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
-            np.subtract(t.diag[start : start + block.shape[0], None], xs, block)
+            # d_i - x over a copy of the shifts: from xs itself numpy would buffer a second block.
+            np.copyto(block, xs)
+            np.subtract(t.diag[start : start + block.shape[0], None], block, block)
+            if last is not None and start + block.shape[0] == t.n:
+                np.subtract(last, xs, block[-1])
             prev = q
             # Outputs go positionally: the out= keyword costs a parse per call.
             for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
@@ -164,33 +184,38 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
 
 
 def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
-    """Slope G(x) = sum_i q_i'/q_i of log|det(T - x)| at each shift in ``xs``.
+    """Slope G(x) = sum_i q_i'/q_i = sum_k 1/(x - lambda_k) of log|det(T - x)| at each shift in ``xs``.
 
-    Next to each pivot q_i of :func:`_sturm_counts` its derivative is
-    q_i' = r_i (q'/q)_{i-1} - 1, r_i = b_{i-1}^2 / q_{i-1}, swept in blocks of
-    pivots and of ratios as there; a zero pivot makes G inf or NaN.
+    The complex step (Squire and Trapp, SIAM Review 40, 1998): the pivots of
+    :func:`_sturm_counts`, with its skips where b_{i-1}^2 = 0, are swept in
+    complex arithmetic at z = x + ih, h = 2^-200, so that
+    q_i(z) = q_i(x) + ih q_i'(x) up to terms h^2 below rounding, and
+    Im q_i / (h Re q_i) reads q_i'/q_i with no difference to cancel.  Each
+    site costs a divide and a subtract, as in the count.  A zero pivot makes
+    G inf or NaN.
     """
-    work = np.empty((2, min(_SWEEP_BLOCK, t.n), xs.size))
-    off_sq = np.concatenate([[0.0], t.off**2])
-    # q = 1 and q'/q = 0 before the first site, so b_{-1}^2 = 0 needs no branch.
-    q, s, ratio, total = np.ones(xs.shape), np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
-    rows = list(zip(*work))
-    for start in range(0, t.n, len(rows)):
-        size = min(len(rows), t.n - start)
-        np.subtract(t.diag[start : start + size, None], xs, work[0, :size])
-        prev_q, prev_s = q, s
-        for b_sq, (row_q, row_s) in zip(off_sq[start : start + size].tolist(), rows):
-            np.divide(b_sq, prev_q, ratio)
-            np.subtract(row_q, ratio, row_q)
-            np.multiply(ratio, prev_s, row_s)
-            np.subtract(row_s, 1.0, row_s)
-            np.divide(row_s, row_q, row_s)
-            prev_q, prev_s = row_q, row_s
-        total += work[1, :size].sum(axis=0)
-        # The next block overwrites the buffers, so its last pivot and ratio are copied out.
-        np.copyto(q, prev_q)
-        np.copyto(s, prev_s)
-    return total
+    off_sq = np.concatenate([[0.0], t.off**2]).astype(complex)
+    pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size), dtype=complex)
+    rows = list(pivots)
+    q, ratio = np.empty(xs.shape, dtype=complex), np.empty(xs.shape, dtype=complex)
+    total, part = np.zeros(xs.shape), np.empty(xs.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, t.n, _SWEEP_BLOCK):
+            block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
+            # The shift's parts go to the views, so that no ufunc casts float to complex.
+            np.subtract(t.diag[start : start + block.shape[0], None], xs, block.real)
+            block.imag = -_SLOPE_STEP
+            prev = q
+            for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
+                if b_sq:
+                    np.divide(b_sq, prev, ratio)
+                    np.subtract(row, ratio, row)
+                prev = row
+            np.copyto(q, prev)
+            # With the last pivot copied out, each q_i'/q_i overwrites Re q_i.
+            np.divide(block.imag, block.real, block.real)
+            total += block.real.sum(axis=0, out=part)
+    return total / _SLOPE_STEP
 
 
 def sturm_count(t: SymTriMatrix, x: float) -> int:
@@ -313,13 +338,36 @@ def _first_truncation(params: ModelParams, chain: ChainSelector, level_count: fl
     return max(float(np.ceil(1.25 * turning + 32.0 / decay)), 64.0)
 
 
+def _enclose(
+    t: SymTriMatrix, drop: float, lo: np.ndarray, hi: np.ndarray, ks: np.ndarray, floor: float
+) -> np.ndarray:
+    """Mask of the levels ``ks`` whose brackets [lo, hi] pass both Sturm counts, from one sweep.
+
+    count(T_N, hi_k) > k and, with T' the matrix ``t`` whose last diagonal
+    is lowered by ``drop``, count(T', lo_k) <= k with lo_k < ``floor``: the
+    shifts hi and lo share one sweep, with a last diagonal for each.
+    """
+    size = ks.size
+    last = np.full(2 * size, t.diag[-1])
+    last[size:] -= drop
+    counts = _sturm_counts(t, np.concatenate((hi, lo)), last)
+    return (counts[:size] > ks) & (counts[size:] <= ks) & (lo < floor)
+
+
 def converged_levels(
     params: ModelParams,
     chain: ChainSelector,
     level_count: int,
     tol: float,
+    first: int = 0,
 ) -> Spectrum:
-    """Lowest ``level_count`` eigenvalues of an infinite parity chain, certified to ``tol``.
+    """Eigenvalues first .. first + level_count - 1 of an infinite parity chain, certified to ``tol``.
+
+    The default ``first`` = 0 takes the lowest ``level_count`` levels; a
+    window with ``first`` > 0 certifies its own levels only, at the
+    truncation of its top level, and every index below is absolute.  The
+    work budget counts the window's levels, since a sweep's cost is its
+    sites times its shifts, and the window has one shift per level.
 
     The chain is truncated once, at N sites, a margin past the site where
     the tail floor F below clears the top level (``_first_truncation``).  The
@@ -329,7 +377,8 @@ def converged_levels(
     mu_k -+ (|Delta|/2 + tol).
 
     Guess x_k comes from Newton steps on log|det(T_N - x)|, each clipped to
-    the Weyl bracket.  They start from the three-term formula mu_k +- V~_nn
+    the Weyl bracket, with the slope read by the complex step
+    (``_det_slopes``).  They start from the three-term formula mu_k +- V~_nn
     asymptotics at Fock index n = 2k + p, the sign the branch's, clipped to
     the bracket; level 0, which has no such value, starts from mu_0.  Newton
     converges quadratically on the scale of the level spacing, so a step s_k
@@ -339,7 +388,9 @@ def converged_levels(
     level_count // 8 guesses are left late by either test, after
     ``_NEWTON_SWEEPS`` at most.  Level k keeps [lo_k, hi_k] =
     x_k -+ (tol - a)/4 if both of its ends pass, each enclosing eigenvalue k
-    of the infinite chain H up to the rounding allowance a below:
+    of the infinite chain H up to the rounding allowance a below.  T' and T_N
+    differ only in their last diagonal, so one sweep (``_enclose``) counts
+    T_N at every hi and T' at every lo.
 
     * upper end: an explicit count(T_N, hi_k) > k, where min-max gives
       lambda_k(H) <= theta_k(T_N) < hi_k + a;
@@ -353,13 +404,10 @@ def converged_levels(
       (Parlett, The Symmetric Eigenvalue Problem, ch. 10).
 
     A level that fails either end is bisected by ``_bisect`` from its Weyl
-    bracket to width tol - a, with its absolute index, and its new lower end
-    is counted as above.  Its upper end needs no count: ``_bisect`` leaves
-    hi_k at its start, where Weyl's inequality gives
-    lambda_k(H) <= mu_k + |Delta|/2 < hi_k (tol is far above the rounding of
-    mu_k), or moves it to a point whose count of T_N is above k, as above.
-    A bracket collapses onto a wrong start end, so the count of T' or the
-    bound rejects its level: ConvergenceError, never a wrong certificate.
+    bracket to width tol - a, with its absolute index, and both of its new
+    ends are counted again as above, in one sweep.  A bracket collapses onto
+    a wrong start end, so a count or the bound rejects its level:
+    ConvergenceError, never a wrong certificate.
     A computed Sturm count is the exact count of T + E with |E_ii| <= eps
     |d_i - x| and off-diagonals off by at most 2.5 eps relative (Kahan 1966;
     Demmel, Applied Numerical Linear Algebra, sec. 5.3), so
@@ -369,27 +417,32 @@ def converged_levels(
     enclosed with its bound below tol.
 
     Raises:
-        ValueError: if level_count < 1, if tol is not positive or makes the
-            start brackets (width 2 (|Delta|/2 + tol)) overflow, or if tol is
-            below the floor 2a, checked once the chain is built and before
-            any Sturm sweep; bisection to width tol - a leaves the bound
-            at most (tol + a)/2, below every admitted tol.
+        ValueError: if level_count < 1 or first < 0, if tol is not positive
+            or makes the start brackets (width 2 (|Delta|/2 + tol)) overflow,
+            or if tol is below the floor 2a, checked once the chain is built
+            and before any Sturm sweep; bisection to width tol - a leaves the
+            bound at most (tol + a)/2, below every admitted tol.
         ConvergenceError: if the truncation exceeds the module caps
-            ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x levels,
+            ``MAX_CHAIN_DIM`` sites or ``MAX_CHAIN_WORK`` sites x window levels,
             checked before the chain is built, or if a level is not enclosed
             with its bound below tol at that truncation.
     """
     if level_count < 1:
         raise ValueError("level_count must be at least 1")
+    if first < 0:
+        raise ValueError("first must be at least 0")
     spread = abs(params.delta) / 2.0
     if not (tol > 0 and math.isfinite(2.0 * (spread + tol))):
         raise ValueError(f"tol={tol!r} must be positive, with a finite bracket width 2 (|Delta|/2 + tol)")
-    # The budget is checked in floats, with the level count inf past the double range.
-    levels = float(level_count) if level_count <= sys.float_info.max else math.inf
-    size = _first_truncation(params, chain, levels)
+    # The budget is checked in floats, with level counts inf past the double range.
+    levels, reach = (
+        float(n) if n <= sys.float_info.max else math.inf for n in (level_count, first + level_count)
+    )
+    size = _first_truncation(params, chain, reach)
     if not (size <= MAX_CHAIN_DIM and size * levels <= MAX_CHAIN_WORK):
+        span = f"levels {first} to {first + level_count - 1}" if reach < 2**53 else f"{levels:.3g} levels"
         raise ConvergenceError(
-            f"{levels:.3g} levels need chain dimension {size:.3g}"
+            f"{span} need chain dimension {size:.3g}"
             f" ({size * levels:.3g} sites x levels), beyond the cap of {MAX_CHAIN_DIM} sites"
             f" or {MAX_CHAIN_WORK} sites x levels"
         )
@@ -399,10 +452,9 @@ def converged_levels(
     allowance = 4.0 * _EPS * max(1.0, abs(bottom), abs(top))
     if tol < 2.0 * allowance:
         raise ValueError(f"tol={tol!r} is below the double-precision floor {2.0 * allowance:.3e}")
-    ks = np.arange(level_count)
+    ks = np.arange(first, first + level_count)
     mu = params.omega * (2 * ks + chain.parity.offset + 0.5) - 0.5
     t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
-    lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - full.off[-1]), off=t.off)
     n0 = 2 * n_dim + chain.parity.offset
     tail_floor = n0 * (1.0 - 2.0 * params.g) - params.g - spread - allowance
     width = tol - allowance
@@ -421,19 +473,18 @@ def converged_levels(
             if late <= level_count // 8:
                 break
     lo_x, hi_x = x - width / 4.0, x + width / 4.0
-    enclosed = (_sturm_counts(t, hi_x) > ks) & (lo_x < tail_floor)
-    enclosed &= _sturm_counts(lowered, lo_x) <= ks
+    enclosed = _enclose(t, full.off[-1], lo_x, hi_x, ks, tail_floor)
     lo, hi = np.where(enclosed, lo_x, lo), np.where(enclosed, hi_x, hi)
     bad = ~enclosed
     if bad.any():
         lo[bad], hi[bad] = _bisect(t, lo[bad], hi[bad], width, ks[bad])
-        enclosed[bad] = (lo[bad] < tail_floor) & (_sturm_counts(lowered, lo[bad]) <= ks[bad])
+        enclosed[bad] = _enclose(t, full.off[-1], lo[bad], hi[bad], ks[bad], tail_floor)
     values = 0.5 * (lo + hi)
     bounds = 0.5 * (hi - lo) + allowance
     certified = enclosed & (bounds < tol)
     if not certified.all():
-        k = int(np.argmin(certified))
+        k = first + int(np.argmin(certified))
         raise ConvergenceError(f"level {k} not enclosed to tol={tol!r} at chain dimension {n_dim}")
     return Spectrum(
-        values=np.sort(values), truncation_dim=n_dim, tol=tol, bounds=bounds, path="a_posteriori"
+        values=np.sort(values), truncation_dim=n_dim, tol=tol, bounds=bounds, path="a_posteriori", first=first
     )

@@ -353,8 +353,9 @@ def residual_study(
     Fock index n lives at position floor(n/2) of its parity chain, and levels
     are matched to chain indices in sorted order (no crossing tracking; the
     asymptotic regime has well-separated levels).  Certified eigenvalues come
-    from :func:`rabi_spectra.eigensolve.converged_levels`, whose Newton
-    guesses start from this formula; its convergence failures propagate.
+    from :func:`rabi_spectra.eigensolve.converged_levels`, one window of
+    levels n_min // 2 .. n_max // 2 per parity, whose Newton guesses start
+    from this formula; its convergence failures propagate.
     Every column (numeric, the formula's terms, residual) is computed once
     over the whole range, and each row of the formula's terms equals
     :func:`three_term` of its n.
@@ -366,12 +367,14 @@ def residual_study(
     ns = np.arange(n_min, n_max + 1)
     numeric = np.empty(ns.size)
     for parity in (Parity.EVEN, Parity.ODD):
-        first = (parity.offset - n_min) % 2  # row of the range's first n of this parity
-        if first >= ns.size:
+        row = (parity.offset - n_min) % 2  # row of the range's first n of this parity
+        if row >= ns.size:
             continue
-        level_count = (n_max - parity.offset) // 2 + 1
-        spectrum = converged_levels(params, ChainSelector(branch, parity), level_count, tol)
-        numeric[first::2] = spectrum.values[(n_min + first) // 2 :]
+        # Fock index n is level n // 2 of its chain: one window per parity.
+        first = (n_min + row) // 2
+        level_count = (n_max - parity.offset) // 2 + 1 - first
+        spectrum = converged_levels(params, ChainSelector(branch, parity), level_count, tol, first)
+        numeric[row::2] = spectrum.values
     linear, shift, oscillatory, total = _three_term_columns(params, branch, ns)
     columns = (ns, linear, oscillatory, total, numeric, numeric - total)
     return [

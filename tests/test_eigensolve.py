@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 import warnings
 
@@ -221,6 +222,62 @@ class TestCountFreeTail:
         assert divides[0] == t.n - 1
 
 
+def certificate_counts(t, drop, hi, lo):
+    """The one sweep of ``_enclose``: T_N counted at hi, T' (last diagonal lowered by drop) at lo."""
+    last = np.full(hi.size + lo.size, t.diag[-1])
+    last[hi.size :] -= drop
+    counts = _sturm_counts(t, np.concatenate((hi, lo)), last)
+    return counts[: hi.size], counts[hi.size :]
+
+
+class TestCertificateSweep:
+    """One sweep with a last diagonal per shift counts T_N and T' as two sweeps do."""
+
+    @pytest.mark.parametrize("g", [1e-300, 1e-160, 0.01, 0.2, 0.45, 0.499])
+    def test_counts_equal_separate_sweeps(self, g):
+        rng = np.random.default_rng(int(1000 * g) + 33)
+        changed = 0
+        for delta, parity, n in itertools.product(
+            [0.0, 1.0, -6.0, 1e3], Parity, [2, 17, 48, 161, 700, 2000]
+        ):
+            full = build_chain(derive_params(g, delta), ChainSelector(Branch.PLUS, parity), n + 1)
+            t = SymTriMatrix(diag=full.diag[:-1], off=full.off[:-1])
+            drop = full.off[-1]
+            lowered = SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - drop), off=t.off)
+            sets = list(shift_sets(t, rng).values())
+            # One reference sweep of each matrix over every set at once.
+            every = np.concatenate(sets)
+            ref_hi, ref_lo = _sturm_counts(t, every), _sturm_counts(lowered, every)
+            changed += int(np.any(ref_hi != ref_lo))
+            starts = np.cumsum([0] + [xs.size for xs in sets])
+            # Each set is counted at hi beside the next set at lo, so that the top shift varies.
+            for i, hi in enumerate(sets):
+                j = (i + 1) % len(sets)
+                got_hi, got_lo = certificate_counts(t, drop, hi, sets[j])
+                err_msg = f"{delta=} {parity} {n=} {i=}"
+                np.testing.assert_array_equal(got_hi, ref_hi[starts[i] : starts[i + 1]], err_msg=err_msg)
+                np.testing.assert_array_equal(got_lo, ref_lo[starts[j] : starts[j + 1]], err_msg=err_msg)
+        # Somewhere the sweep reaches the last site and the lowered diagonal changes a count;
+        # below g 0.01 the drop is lost in the rounding of the last diagonal.
+        assert changed > 0 or g < 0.01
+
+    def test_zero_last_coupling(self):
+        # The last coupling of T_N is 0, so the last site's pivot restarts at its diagonal and
+        # its floor is 0/0; its diagonal is moved below the shifts, and lowered further in T'.
+        t = build_chain(derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 705)
+        diag, off = t.diag.copy(), t.off.copy()
+        off[-1], diag[-1] = 0.0, diag[0] + 0.5
+        t = SymTriMatrix(diag=diag, off=off)
+        lowered = SymTriMatrix(diag=np.append(diag[:-1], diag[-1] - 1.0), off=off)
+        sets = shift_sets(t, np.random.default_rng(34))
+        sets["last"] = np.array([diag[0], diag[0] + 0.25, diag[0] + 0.75])
+        for name, xs in sets.items():
+            got_hi, got_lo = certificate_counts(t, 1.0, xs, xs)
+            np.testing.assert_array_equal(got_hi, full_sweep_counts(t, xs), err_msg=name)
+            np.testing.assert_array_equal(got_lo, full_sweep_counts(lowered, xs), err_msg=name)
+        np.testing.assert_array_equal(got_lo - got_hi, [1, 1, 0])
+
+
 class TestBisection:
     def test_two_by_two_closed_form(self):
         g = 0.25
@@ -307,9 +364,9 @@ def sweep_counter(monkeypatch):
     """Number of ``_sturm_counts`` sweeps made since the fixture was set up."""
     calls = [0]
 
-    def counting(t, xs):
+    def counting(t, xs, *args):
         calls[0] += 1
-        return _sturm_counts(t, xs)
+        return _sturm_counts(t, xs, *args)
 
     monkeypatch.setattr(eigensolve, "_sturm_counts", counting)
     return calls
@@ -350,23 +407,23 @@ def cert_floor(p, chain, levels):
 class TestMultisection:
     @pytest.mark.parametrize("g", [0.06, 0.2, 0.43, 0.485])
     def test_small_spectrum_takes_ten_sweeps(self, slope_counter, sweep_counter, g):
-        # Newton from the three-term start, a count at every hi and lo, and
-        # multisection of the levels that fail either from their unchecked
-        # Weyl brackets: no sweep checks the start brackets.  Plain
+        # Newton from the three-term start, one sweep counting at every hi
+        # and lo, and multisection of the levels that fail either from their
+        # unchecked Weyl brackets: no sweep checks the start brackets.  Plain
         # bisection took 40.
         s = converged_levels(derive_params(g, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 20, 1e-10)
         assert s.path == "a_posteriori"
-        assert sweep_counter[0] <= 9
+        assert sweep_counter[0] <= 8
         assert slope_counter[0] <= _NEWTON_SWEEPS
 
     def test_forced_short_start_sweeps(self, monkeypatch, sweep_counter):
         # At 64 sites the truncation lifts levels 14-19 above their Weyl
         # brackets.  Their brackets collapse onto the start tops, which are
         # kept, not widened to the Gershgorin interval, so the rejection
-        # costs no more sweeps than a certificate: the counts at every hi
-        # and lo, the (pts + 1)-fold cuts that take all 20 Weyl brackets at
-        # most down to width tol - a, and one count at the lo of those
-        # bisected.  From the Gershgorin interval the cuts take one sweep more.
+        # costs no more sweeps than a certificate: the one sweep counting at
+        # every hi and lo, the (pts + 1)-fold cuts that take all 20 Weyl
+        # brackets at most down to width tol - a, and one sweep counting the
+        # brackets of those bisected.  From the Gershgorin interval the cuts take one sweep more.
         p, chain, tol = derive_params(0.49, -6.0), ChainSelector(Branch.PLUS, Parity.ODD), 1e-12
         monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 64)
         with pytest.raises(ConvergenceError, match="chain dimension 64"):
@@ -374,7 +431,7 @@ class TestMultisection:
         allowance = 4 * np.finfo(float).eps * max(1.0, *np.abs(build_chain(p, chain, 65).gershgorin()))
         halvings = math.log2(2 * (abs(p.delta) / 2 + tol) / (tol - allowance))
         cuts = math.ceil(halvings / math.log2(_SWEEP_SHIFTS // 20 + 1))
-        assert sweep_counter[0] <= 2 + cuts + 1 == 13
+        assert sweep_counter[0] <= 1 + cuts + 1 == 12
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_many_brackets_are_bisected(self, sweep_counter, extra):
@@ -613,11 +670,12 @@ class TestConvergedLevels:
 CRITERION_9 = (derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 401, 1e-8)
 
 
-def lapack_levels(p, chain, levels):
-    """Lowest levels by LAPACK at twice the first truncation, and their error."""
-    dense = build_chain(p, chain, 2 * int(_first_truncation(p, chain, levels))).to_dense()
+def lapack_levels(p, chain, levels, first=0):
+    """Levels first .. first + levels - 1 by LAPACK at twice the first truncation, and their error."""
+    dense = build_chain(p, chain, 2 * int(_first_truncation(p, chain, first + levels))).to_dense()
     # LAPACK's own error is of order eps times the matrix norm.
-    return np.linalg.eigvalsh(dense)[:levels], np.finfo(float).eps * float(np.max(np.abs(dense).sum(axis=1)))
+    error = np.finfo(float).eps * float(np.max(np.abs(dense).sum(axis=1)))
+    return np.linalg.eigvalsh(dense)[first : first + levels], error
 
 
 @pytest.fixture(scope="module")
@@ -635,21 +693,21 @@ def assert_encloses(s, lapack):
 class TestNewtonGuesses:
     def test_zero_delta_start_is_exact(self, slope_counter, sweep_counter):
         # At Delta = 0 the three-term start is the exact level, so the first
-        # Newton step is late for no level: one slope sweep and the two
-        # certificate counts.
+        # Newton step is late for no level: one slope sweep and one sweep
+        # counting T_N at every hi and T' at every lo.
         s = converged_levels(derive_params(0.2, 0.0), ChainSelector(Branch.PLUS, Parity.EVEN), 300, 1e-8)
-        assert slope_counter[0] == 1 and sweep_counter[0] == 2
+        assert slope_counter[0] == 1 and sweep_counter[0] == 1
         assert np.all(exact_zero_delta_errors(s, 0.2, Parity.EVEN) <= s.bounds)
 
     # Bisection took 28 sweeps and a count.  Newton from the three-term
     # formula stops once at most one level in 8 still takes a long step,
-    # here after 2 sweeps.  Then come a count of T_N at every hi, one of T'
-    # at every lo, multisection of the levels that failed either, and one
-    # count of T' at their lo.
+    # here after 2 sweeps.  Then come one sweep counting T_N at every hi and
+    # T' at every lo, multisection of the levels that failed either, and one
+    # sweep counting their brackets again.
     def test_criterion_9_chain_sweeps(self, slope_counter, sweep_counter, criterion_9_lapack):
         s = converged_levels(*CRITERION_9)
         assert slope_counter[0] == 2 < _NEWTON_SWEEPS
-        assert sweep_counter[0] <= 8
+        assert sweep_counter[0] <= 7
         assert_encloses(s, criterion_9_lapack)
 
     # A NaN asymptotics sends every level back to mu_k, the Delta = 0 level,
@@ -657,7 +715,7 @@ class TestNewtonGuesses:
     def test_criterion_9_mu_start_sweeps(self, monkeypatch, slope_counter, sweep_counter, criterion_9_lapack):
         monkeypatch.setattr(eigensolve, "_diag_asym", lambda p, fock: np.full(fock.shape, np.nan))
         s = converged_levels(*CRITERION_9)
-        assert slope_counter[0] == 3 and sweep_counter[0] <= 10
+        assert slope_counter[0] == 3 and sweep_counter[0] <= 9
         assert_encloses(s, criterion_9_lapack)
 
     # NaN slopes send every guess to its bracket top, zero slopes to its
@@ -720,12 +778,60 @@ class TestNewtonGuesses:
         assert_encloses(s, lapack_levels(p, chain, levels))
 
 
+def lapack_slopes(t, xs):
+    """sum_k 1/(x - lambda_k) from LAPACK's eigenvalues of ``t``, and the sum of its terms' sizes."""
+    terms = 1.0 / np.subtract.outer(xs, np.linalg.eigvalsh(t.to_dense()))
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def gap_midpoints(t, levels):
+    """Midpoints between the lowest ``levels`` eigenvalues of ``t`` that are apart, and a shift below them."""
+    lam = np.linalg.eigvalsh(t.to_dense())[:levels]
+    mids = 0.5 * (lam[:-1] + lam[1:])[np.diff(lam) > 0.2]
+    return np.concatenate([mids, [lam[0] - 1.0]])
+
+
+class TestDetSlopes:
+    """The complex-step slope is sum_k 1/(x - lambda_k), read at shifts away from the eigenvalues.
+
+    Errors are relative to sum_k |1/(x - lambda_k)|, since G itself vanishes between
+    symmetric neighbours.  They come from the pivot recurrence in double precision,
+    not from the step: a near-zero pivot of a leading block loses digits (up to 1e-8
+    relative on random 512-site chains), so random chains stay at 128 sites.
+    """
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 128])
+    def test_random_chains(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            t = random_chain(rng, n)
+            xs = gap_midpoints(t, n)
+            ref, size = lapack_slopes(t, xs)
+            assert np.all(np.abs(_det_slopes(t, xs) - ref) <= 1e-10 * size)
+
+    # At g 1e-300 every b^2 underflows to 0 and the chain is its diagonal.
+    @pytest.mark.parametrize("g", [1e-300, 0.01, 0.2, 0.45, 0.499])
+    def test_model_chains(self, g):
+        for delta, parity, n in itertools.product([0.0, 1.0, -6.0], Parity, [64, 512]):
+            t = build_chain(derive_params(g, delta), ChainSelector(Branch.PLUS, parity), n)
+            xs = gap_midpoints(t, n // 4)
+            ref, size = lapack_slopes(t, xs)
+            got = _det_slopes(t, xs)
+            assert np.all(np.abs(got - ref) <= 1e-10 * size), (delta, parity, n)
+
+    def test_zero_pivot_gives_non_finite_slope(self):
+        # x = 1 is the eigenvalue of the leading 1x1 block, so q_0 = 0.
+        t = SymTriMatrix(diag=[1.0, 2.0, 3.0], off=[0.5, 0.5])
+        assert not np.isfinite(_det_slopes(t, np.array([1.0]))).any()
+
+
 def exact_zero_delta_errors(s, g, parity):
     """Distance of each certified value from the 40-digit Delta = 0 level."""
     with mp.workdps(40):
         omega = mp.sqrt(1 - 4 * mp.mpf(g) ** 2)
         half = mp.mpf(1) / 2
-        exact = [omega * (2 * k + parity.offset + half) - half for k in range(s.values.size)]
+        ks = range(s.first, s.first + s.values.size)
+        exact = [omega * (2 * k + parity.offset + half) - half for k in ks]
         return np.array([float(abs(mp.mpf(v) - e)) for v, e in zip(s.values, exact)])
 
 
@@ -873,3 +979,55 @@ class TestCertificate:
         s = eigenvalues_bisection(random_chain(np.random.default_rng(11), 6), 1e-10)
         assert s.path == "direct"
         np.testing.assert_array_equal(s.bounds, np.full(6, 1e-10))
+
+
+WINDOW_CASES = list(itertools.product([0.2, 0.45, 0.49], [0.0, 1.0, 6.0]))
+
+
+class TestWindows:
+    """converged_levels(..., first=k0) certifies levels k0 .. k0 + count - 1 only."""
+
+    @pytest.mark.parametrize("g", [0.2, 0.45, 0.49])
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_window_encloses_exact_zero_delta_levels(self, g, parity):
+        s = converged_levels(derive_params(g, 0.0), ChainSelector(Branch.PLUS, parity), 20, 1e-10, first=40)
+        assert s.first == 40 and s.values.size == 20
+        assert np.all(exact_zero_delta_errors(s, g, parity) <= s.bounds)
+
+    @pytest.mark.parametrize("g,delta", WINDOW_CASES)
+    def test_window_encloses_lapack_at_double_truncation(self, g, delta):
+        p, chain = derive_params(g, delta), ChainSelector(Branch.MINUS, Parity.ODD)
+        s = converged_levels(p, chain, 12, 1e-10, first=40)
+        assert s.truncation_dim == _first_truncation(p, chain, 52)
+        assert_encloses(s, lapack_levels(p, chain, 12, first=40))
+
+    @pytest.mark.parametrize("g,delta", WINDOW_CASES)
+    def test_budget_counts_window_levels(self, monkeypatch, built_chains, g, delta):
+        # At a cap of exactly the window's sites x levels the window certifies, though the
+        # levels below it would put the whole solve past the cap.
+        p, chain = derive_params(g, delta), ChainSelector(Branch.PLUS, Parity.EVEN)
+        size = int(_first_truncation(p, chain, 210))
+        monkeypatch.setattr(eigensolve, "MAX_CHAIN_WORK", size * 10)
+        converged_levels(p, chain, 10, 1e-8, first=200)
+        assert built_chains == [size + 1]
+        with pytest.raises(ConvergenceError, match="levels 0 to 209 need"):
+            converged_levels(p, chain, 210, 1e-8)
+        monkeypatch.setattr(eigensolve, "MAX_CHAIN_WORK", size * 10 - 1)
+        message = f"levels 200 to 209 need chain dimension {size:.3g} "
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            converged_levels(p, chain, 10, 1e-8, first=200)
+        assert len(built_chains) == 1
+
+    @pytest.mark.parametrize("g,delta", WINDOW_CASES)
+    def test_error_names_absolute_level(self, monkeypatch, g, delta):
+        # At 64 sites the top levels of the window 40..51 are not enclosed.
+        monkeypatch.setattr(eigensolve, "_first_truncation", lambda *args: 64)
+        p, chain = derive_params(g, delta), ChainSelector(Branch.PLUS, Parity.EVEN)
+        with pytest.raises(ConvergenceError, match="chain dimension 64") as info:
+            converged_levels(p, chain, 12, 1e-10, first=40)
+        level = int(str(info.value).split()[1])
+        assert 40 <= level < 52
+
+    def test_first_guard(self):
+        with pytest.raises(ValueError, match="first"):
+            converged_levels(*CRITERION_9[:2], 10, 1e-8, first=-1)

@@ -400,26 +400,27 @@ class TestResidualStudy:
     def test_rows_equal_scalar_formula_and_certified_values(self, g, delta):
         # Every field exactly, sign of zero included: the formula's terms as
         # three_term(n) and as the scalar route sums them, left to right, and
-        # numeric as the certified level of its chain.
+        # numeric as the certified level of its chain, from the window of the
+        # range's levels of that parity.
         params = derive_params(g, delta)
         tol = 1e-8
         for branch in Branch:
             for n_min, n_max in ((10, 41), (11, 40), (23, 23)):
                 study = residual_study(params, branch, n_min, n_max, tol)
                 assert [b.n for b in study] == list(range(n_min, n_max + 1))
-                values = {
-                    parity.offset: converged_levels(
-                        params,
-                        ChainSelector(branch, parity),
-                        (n_max - parity.offset) // 2 + 1,
-                        tol,
-                    ).values
-                    for parity in Parity
-                    if any(n % 2 == parity.offset for n in range(n_min, n_max + 1))
-                }
+                windows = {}
+                for parity in Parity:
+                    ns = [n for n in range(n_min, n_max + 1) if n % 2 == parity.offset]
+                    if ns:
+                        first = ns[0] // 2
+                        windows[parity.offset] = converged_levels(
+                            params, ChainSelector(branch, parity), len(ns), tol, first=first
+                        )
+                        assert windows[parity.offset].first == first
                 for b in study:
                     ref = three_term(b.n, params, branch)
-                    numeric = float(values[b.n % 2][b.n // 2])
+                    window = windows[b.n % 2]
+                    numeric = float(window.values[b.n // 2 - window.first])
                     oscillatory = branch.sign * v_tilde_diag_asym(b.n, params)
                     linear = b.n * params.omega
                     total = linear + (params.omega - 1.0) / 2.0 + oscillatory
