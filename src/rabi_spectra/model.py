@@ -194,8 +194,8 @@ def build_full_branch(params: ModelParams, branch: Branch, n_dim: int) -> np.nda
     The oracle for the parity split: its spectrum at even n_dim equals the
     union of the two chain spectra at dimension n_dim/2 exactly, because the
     split is a permutation similarity of the truncated matrix.  At Delta = 0
-    its first n_dim/4 rows are the H0 rows of the eigen-equation H0 U = U D
-    in :func:`rabi_spectra.squeeze.h0_transform_residual`.
+    its rows are the H0 rows of the eigen-equation H0 U = U D in
+    :func:`rabi_spectra.squeeze.h0_transform_residual`.
     """
     if n_dim < 4:
         raise ValueError("n_dim must be at least 4")

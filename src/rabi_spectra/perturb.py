@@ -21,6 +21,7 @@ against certified numerical eigenvalues.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,7 +110,10 @@ def v_tilde(m: int, n: int, params: ModelParams) -> float:
     The signed squeeze element (Delta/2) (-1)^floor(m/2) U(2 lam)_{m,n}: the
     kernel ``squeeze._element`` (see there for its accuracy next to nodes of
     P) at tanh(4 lam) = 2g and 1/cosh(4 lam) = omega, so x = omega/(2g).
+    Indices go through ``operator.index``: numpy integers are read as ints,
+    and a non-integer raises TypeError.
     """
+    m, n = operator.index(m), operator.index(n)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m > MAX_ELEMENT_INDEX or n > MAX_ELEMENT_INDEX:

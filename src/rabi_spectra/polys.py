@@ -22,12 +22,14 @@ which no other module calls; single squeeze elements of
 factorization block reaches the kernel's exact integers, at every x, by the
 three-term relation in n of :func:`_p_triangle`, at O(1) integer steps a value.
 :func:`hyper_f` evaluates the terminating Gauss hypergeometric series that
-represents the same polynomials, giving an independent exact oracle.
+represents the same polynomials, giving an independent exact oracle; its
+exact series is summed in integers over one common denominator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +104,10 @@ def p_exact(n: int, s: int, x: Fraction | int | float) -> Fraction:
     """P_n^{(s)}(x) in exact rational arithmetic (degree guard n <= 400).
 
     A float x is read at its binary value; a non-finite one raises ValueError.
+    Indices go through ``operator.index``: numpy integers are read as ints,
+    and a non-integer raises TypeError.
     """
+    n, s = operator.index(n), operator.index(s)
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
     if n > MAX_EXACT_DEGREE:
@@ -189,7 +194,10 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     Raises:
         ValueError: for a negative index, a degree above MAX_ELEMENT_INDEX
             or a non-finite x.
+        TypeError: for an index that ``operator.index`` rejects; numpy
+            integers are read as ints.
     """
+    n, s = operator.index(n), operator.index(s)
     if n < 0 or s < 0:
         raise ValueError("indices must be non-negative")
     if n > MAX_ELEMENT_INDEX:
@@ -254,28 +262,45 @@ def p_fast(n: int, s: int, x: float) -> float:
 def hyper_f(n: int, m: int, c, z):
     """Terminating Gauss hypergeometric series F(-n, -m; c; z).
 
-    Exact (Fraction) when ``c`` and ``z`` are exact; float otherwise.  Used
-    as an oracle through the identities
+    Exact (Fraction) when ``c`` and ``z`` are exact (int or Fraction); float
+    otherwise.  Used as an oracle through the identities
 
         P_{2n}^{(m-n)}(x)   = (-1)^n (2n)!/(n! m!) F(-n, -m; 1/2; -x^2),
         P_{2n+1}^{(m-n)}(x) = (-1)^n (2n+1)!/(n! m!) 2x F(-n, -m; 3/2; -x^2).
+
+    The exact series is summed in integers: with c = a/b and z = p/r, term
+    k+1 is term k times N_k / D_k, N_k = (k-n)(k-m) p b and
+    D_k = r (a + k b)(k+1), so Horner's rule from the last term keeps one
+    numerator over the common denominator prod D_k, and one Fraction is
+    formed (and reduced) at the end.
 
     Raises:
         ValueError: unless both leading parameters are non-positive integers
             (the series would not terminate), or if c is one of 0, -1, ...,
             -(min(n, m) - 1), where a term divides by zero.
     """
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 0 or m < 0:
+    try:
+        n, m = operator.index(n), operator.index(m)
+    except TypeError:
+        n = m = -1  # not integers: the series is rejected below
+    if n < 0 or m < 0:
         raise ValueError("series terminates only for non-negative integers n, m")
-    term = 1
-    total = term
-    for k in range(min(n, m)):
-        ck = c + k
-        if ck == 0:
-            raise ValueError(f"c={c!r} makes term {k + 1} of F(-{n}, -{m}; c; z) divide by zero")
-        term = term * (k - n) * (k - m) * z / (ck * (k + 1))
-        total = total + term
-    return total
+    terms = min(n, m)
+    if -c in range(terms):
+        raise ValueError(f"c={c!r} makes term {int(1 - c)} of F(-{n}, -{m}; c; z) divide by zero")
+    if not (isinstance(c, (int, Fraction)) and isinstance(z, (int, Fraction))):
+        term = total = 1
+        for k in range(terms):
+            term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
+            total = total + term
+        return total
+    a, b = Fraction(c).as_integer_ratio()
+    p, r = Fraction(z).as_integer_ratio()
+    num = den = 1
+    for k in reversed(range(terms)):
+        den *= r * (a + k * b) * (k + 1)
+        num = den + (k - n) * (k - m) * p * b * num
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,20 @@ class TestVTilde:
         assert v_tilde(1, 0, PARAMS) == 0.0
         assert v_tilde(5, 2, PARAMS) == 0.0
 
+    def test_numpy_integer_indices(self):
+        # They raised OverflowError from the integer sum.
+        for kind in (np.int64, np.int32):
+            assert v_tilde(kind(25), kind(3), PARAMS) == v_tilde(25, 3, PARAMS)
+            assert v_tilde(kind(6), 2, PARAMS) == v_tilde(6, 2, PARAMS)
+
+    def test_non_integer_indices_raise(self):
+        # 6.5 was read as an odd distance and gave 0.0.
+        for m, n in ((6.5, 4), (6, 4.0), (6.0, 4)):
+            with pytest.raises(TypeError):
+                v_tilde(m, n, PARAMS)
+        with pytest.raises(TypeError):
+            v_tilde(6.5, 4, derive_params(0.2, 0.0))  # before the Delta = 0 shortcut
+
     def test_symmetry(self):
         a = v_tilde(6, 2, PARAMS)
         b = v_tilde(2, 6, PARAMS)

@@ -444,6 +444,87 @@ class TestHyperF:
         assert lhs == rhs
 
 
+def _hyper_f_per_term(n, m, c, z):
+    """F(-n, -m; c; z) term by term, each term and partial sum a reduced Fraction."""
+    term = total = Fraction(1)
+    for k in range(min(n, m)):
+        if c + k == 0:
+            raise ValueError(f"c={c!r} makes term {k + 1} of F(-{n}, -{m}; c; z) divide by zero")
+        term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
+        total += term
+    return total
+
+
+class TestIntegerHyperF:
+    """The integer Horner sum of hyper_f against the per-term Fraction series."""
+
+    INDICES = (*range(0, 80, 3), 79, 80)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), 5, -2])
+    def test_equals_per_term_reference(self, c):
+        rng = np.random.default_rng(33)
+        compared = raised = 0
+        for n in self.INDICES:
+            for m in self.INDICES:
+                z = Fraction(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**9)))
+                try:
+                    ref = _hyper_f_per_term(n, m, c, z)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        hyper_f(n, m, c, z)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                    continue
+                value = hyper_f(n, m, c, z)
+                assert type(value) is Fraction and value == ref, (n, m, c, z)
+                compared += 1
+        # c = -2 is a pole of every series with at least 3 terms.
+        poles = sum(min(n, m) >= 3 for n in self.INDICES for m in self.INDICES) if c == -2 else 0
+        assert raised == poles and compared == len(self.INDICES) ** 2 - poles
+
+    def test_float_path_unchanged(self):
+        # The float path keeps the per-term loop: the same operations, the same bits.
+        for n, m, c, z in ((3, 4, 0.5, 0.3), (40, 60, 1.5, -2.25), (80, 80, 7 / 3, -1e-3)):
+            term = total = 1
+            for k in range(min(n, m)):
+                term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
+                total = total + term
+            assert hyper_f(n, m, c, z) == total
+            assert type(hyper_f(n, m, c, Fraction(z))) is float  # a float c takes this path
+
+    def test_exact_integers(self):
+        assert hyper_f(3, 4, 5, 2) == _hyper_f_per_term(3, 4, 5, Fraction(2))
+        assert type(hyper_f(3, 4, 5, 2)) is Fraction
+
+
+class TestIndexCoercion:
+    """Numpy integers are read as ints at the API boundary; non-integers raise."""
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_equal_ints(self, kind):
+        assert p_exact(kind(25), kind(2), 0.5) == p_exact(25, 2, 0.5)
+        assert p_fast_parts(kind(25), kind(0), MODEL_X) == p_fast_parts(25, 0, MODEL_X)
+        assert p_fast(kind(60), kind(3), MODEL_X) == p_fast(60, 3, MODEL_X)
+        assert hyper_f(kind(3), kind(4), 0.5, 0.3) == hyper_f(3, 4, 0.5, 0.3)
+        z = Fraction(-7, 3)
+        assert hyper_f(kind(30), kind(40), Fraction(1, 2), z) == hyper_f(30, 40, Fraction(1, 2), z)
+
+    def test_non_integers_raise(self):
+        for index in (2.0, 2.5, Fraction(5, 2), np.float64(3.0)):
+            with pytest.raises(TypeError):
+                p_exact(index, 0, 0.5)
+            with pytest.raises(TypeError):
+                p_exact(4, index, 0.5)
+            with pytest.raises(TypeError):
+                p_fast_parts(index, 0, 0.5)
+            with pytest.raises(TypeError):
+                p_fast(4, index, 0.5)
+            with pytest.raises(ValueError, match="non-negative integers"):
+                hyper_f(index, 4, 0.5, 0.3)
+            with pytest.raises(ValueError, match="non-negative integers"):
+                hyper_f(4, index, 0.5, 0.3)
+
+
 class TestPhaseIntegral:
     def test_zero_offset_closed_form(self):
         y = phase_integral(PhaseSpec(s=0, lambda_hat=10.0, t_max=1.0))

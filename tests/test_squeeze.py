@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import (
+    cli,
     derive_params,
     factorization_residual,
     h0_transform_residual,
@@ -15,6 +16,7 @@ from rabi_spectra import (
     u_matrix_oracle,
     uvu_residual,
 )
+from rabi_spectra.model import Branch, build_full_branch
 
 LAM_SAMPLES = [0.05, 0.10591223254840046, 0.2, -0.15]
 
@@ -47,6 +49,18 @@ class TestUElement:
             a = u_element(m, n, lam)
             b = (-1.0) ** ((n - m) // 2) * u_element(n, m, lam)
             assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
+
+    def test_numpy_integer_indices(self):
+        # They raised OverflowError from the integer sum.
+        for kind in (np.int64, np.int32):
+            assert u_element(kind(25), kind(3), 0.1) == u_element(25, 3, 0.1)
+            assert u_element(kind(6), 4, 0.1) == u_element(6, 4, 0.1)
+
+    def test_non_integer_indices_raise(self):
+        # 6.5 was read as an odd distance and gave 0.0.
+        for m, n in ((6.5, 4), (6, 4.0), (6.0, 4)):
+            with pytest.raises(TypeError):
+                u_element(m, n, 0.1)
 
     def test_index_guards(self):
         with pytest.raises(ValueError):
@@ -130,6 +144,88 @@ class TestOracle:
     def test_matches_unsplit_exponential(self, n_dim, lam):
         full = squeeze._expm(lam * squeeze_generator(n_dim))
         assert float(np.max(np.abs(u_matrix_oracle(n_dim, lam) - full))) < 1e-14
+
+
+def _dense_expm(m):
+    """exp(m) by scaling to 1-norm 1/2 or less, a degree-24 dense Taylor sum and squarings."""
+    norm = float(np.max(np.abs(m).sum(axis=0)))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    b = m / 2.0**squarings
+    eye = np.eye(len(m))
+    t = eye.copy()
+    for k in range(24, 0, -1):
+        t = eye + (b @ t) / k
+    for _ in range(squarings):
+        t = t @ t
+    return t
+
+
+EXPM_LAMS = [0.0, 1e-3] + [derive_params(g, 1.0).lam for g in (0.2, 0.45, 0.499)]
+
+
+class TestBandedExpm:
+    @pytest.mark.parametrize("n_dim", [2, 3, 7, 8, 255, 256, 511, 512])
+    def test_matches_dense_reference(self, n_dim):
+        # The unsplit generator has bands +-2, its parity blocks bands +-1.
+        for lam in EXPM_LAMS:
+            full = lam * squeeze_generator(n_dim)
+            for m in (full, full[0::2, 0::2], full[1::2, 1::2]):
+                got = squeeze._expm(m)
+                assert float(np.max(np.abs(got - _dense_expm(m)))) <= 1e-13, (n_dim, lam)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 8, 255, 512])
+    def test_zero_lambda_is_the_identity(self, n_dim):
+        full = 0.0 * squeeze_generator(n_dim)
+        for m in (full, full[0::2, 0::2]):
+            np.testing.assert_array_equal(squeeze._expm(m), np.eye(len(m)))
+        squeeze._oracle_cached.cache_clear()
+        np.testing.assert_array_equal(u_matrix_oracle(n_dim, 0.0), np.eye(n_dim))
+
+    def test_nonzero_off_the_bands_raises(self):
+        band1 = squeeze_generator(16)[0::2, 0::2]
+        for i, j in ((0, 3), (5, 0), (2, 2), (0, 7)):
+            m = band1.copy()
+            m[i, j] = 1e-300
+            with pytest.raises(ValueError, match="bands"):
+                squeeze._expm(m)
+        mixed = band1 + squeeze_generator(8)  # bands +-1 and +-2 at once
+        with pytest.raises(ValueError, match="bands"):
+            squeeze._expm(mixed)
+        with pytest.raises(ValueError, match="bands"):
+            squeeze._expm(np.eye(4))
+
+
+def _full_forms(n_dim, g):
+    """uvu, H0 and orthogonality residuals from whole n_dim x n_dim products."""
+    params = derive_params(g, 1.0)
+    q = n_dim // 4
+    u = u_matrix_oracle(n_dim, params.lam)
+    v = squeeze.parity_sign_diagonal(n_dim, 1.0)
+    uvu = np.max(np.abs((u @ (v[:, None] * u))[:q, :q] - np.diag(v[:q])))
+    h0_params = derive_params(g, 0.0)
+    h0_rows = build_full_branch(h0_params, Branch.PLUS, n_dim)[:q]
+    d = h0_params.omega * (np.arange(q) + 0.5) - 0.5
+    h0 = np.max(np.abs(h0_rows @ u[:, :q] - u[:q, :q] * d))
+    orth = np.max(np.abs(u.T @ u - np.eye(n_dim)))
+    return float(uvu), float(h0), float(orth)
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize("n_dim", [8, 64, 256, 511, 512])
+    @pytest.mark.parametrize("g", [0.2, 0.45])
+    def test_agree_with_full_products(self, n_dim, g):
+        uvu, h0, orth = _full_forms(n_dim, g)
+        lam = derive_params(g, 1.0).lam
+        assert abs(uvu_residual(n_dim, lam, 1.0) - uvu) <= 1e-15
+        assert abs(h0_transform_residual(n_dim, g) - h0) <= 1e-15
+        checks = {c.name: c.value for c in cli._suite_squeeze(g, 1.0, n_dim)}
+        assert abs(checks["oracle_orthogonality"] - orth) <= 1e-15
+
+    @pytest.mark.parametrize("n_dim", [4, 5, 7])
+    def test_smallest_h0_block(self, n_dim):
+        # q = 1 reads a 4-row branch matrix, the smallest one it builds.
+        g = 0.2
+        assert abs(h0_transform_residual(n_dim, g) - _full_forms(n_dim, g)[1]) <= 1e-15
 
 
 class TestFactorization:
