@@ -261,11 +261,7 @@ def cmd_poly(opts: dict[str, Any]) -> int:
         x = float(x)
         exact_cell = ""
         if n_full <= polys.MAX_EXACT_DEGREE:
-            exact = polys.p_exact(n_full, s, Fraction(x))
-            try:
-                exact_cell = _fmt(exact)
-            except OverflowError:  # past the double range
-                exact_cell = _fmt(-math.inf if exact < 0 else math.inf)
+            exact_cell = _fmt(polys._exact_double(n_full, s, x))
         fast_cell = _fmt(polys.p_fast(n_full, s, x))
         try:
             parts = polys.p_asym_parts(n_full, m_full, x)

@@ -385,7 +385,7 @@ def converged_levels(
     with s_k^2 <= omega (tol - a)/4 is taken to leave its guess within
     (tol - a)/4 of the level, unless the step was clipped to a bracket end,
     which lies at least tol from the level; the sweeps stop once at most
-    level_count // 8 guesses are left late by either test, after
+    max(1, level_count // 8) guesses are left late by either test, after
     ``_NEWTON_SWEEPS`` at most.  Level k keeps [lo_k, hi_k] =
     x_k -+ (tol - a)/4 if both of its ends pass, each enclosing eigenvalue k
     of the infinite chain H up to the rounding allowance a below.  T' and T_N
@@ -470,7 +470,7 @@ def converged_levels(
             new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
             late = np.count_nonzero(((new - x) ** 2 > late_sq) | (new == lo) | (new == hi))
             x = new
-            if late <= level_count // 8:
+            if late <= max(1, level_count // 8):
                 break
     lo_x, hi_x = x - width / 4.0, x + width / 4.0
     enclosed = _enclose(t, full.off[-1], lo_x, hi_x, ks, tail_floor)

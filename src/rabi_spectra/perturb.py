@@ -150,8 +150,8 @@ def _recur(a: list[float], b: list[float], c: list[float]) -> np.ndarray:
     return x / np.max(np.abs(x))
 
 
-def _squeezed_column(g: float, n: int) -> np.ndarray:
-    """Column n of U(2 lam) on its parity sites j (Fock index 2j + n % 2).
+def _squeezed_column(g: float, n: int, cutoff: int) -> np.ndarray:
+    """Column n of U(2 lam) on its parity sites j (Fock index 2j + n % 2), past Fock index cutoff.
 
     The column is the unit eigenvector, positive at j = 0, of the H0 parity
     chain at coupling g2 = 2g/(1+4g^2) for the eigenvalue w2 (n+1/2) - 1/2,
@@ -167,16 +167,22 @@ def _squeezed_column(g: float, n: int) -> np.ndarray:
     turning point k = n (1+2g)/(1-2g) the column decays; from twice that
     index on, each site shrinks it by at least r2, the decaying root of
     r + 1/r = (1+2g)^2/(4g) (the large-k chain ratio there).  K is placed
-    370 decades further, so every entry above double underflow carries a
-    start error below 1e-40, and K depends on n alone: rows of any cutoff
-    are prefixes of one column.  A t_j that overflows (g below about
+    62 decades of that decay past the last returned site cutoff // 2 or
+    twice the turning point, whichever is later, so every returned entry
+    carries a start error below 1e-40; K never passes the deep start 370
+    decades past twice the turning point, beyond which every entry lies
+    below double underflow.  Rows of different cutoffs agree to rounding.
+    The column is normalised over every computed site, which holds all of
+    its mass past the cutoff too.  A t_j that overflows (g below about
     |n - k| x 2.8e-309) raises ValueError.
     """
     p = n % 2
     turn = n * (1.0 + 2.0 * g) / (2.0 * (1.0 - 2.0 * g))
     lead = (1.0 + 2.0 * g) ** 2
     r2 = 8.0 * g / (lead + (1.0 - 2.0 * g) * math.sqrt(lead + 8.0 * g))
-    top = math.ceil(2.0 * turn + 370.0 * math.log(10.0) / -math.log(r2)) + 2
+    ln10, ln_r2 = math.log(10.0), -math.log(r2)
+    deep = math.ceil(2.0 * turn + 370.0 * ln10 / ln_r2)
+    top = min(deep, math.ceil(max(cutoff // 2, 2.0 * turn) + 62.0 * ln10 / ln_r2)) + 2
     if top > MAX_ELEMENT_INDEX:
         raise ValueError(
             f"column {n} at g={g} spans {top} chain sites, beyond the work budget "
@@ -202,13 +208,14 @@ def _squeezed_column(g: float, n: int) -> np.ndarray:
 def _v_row_cached(g: float, delta: float, n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Row V~_{k,n} for k = parity(n)..cutoff sharing n's parity, as read-only arrays.
 
-    V~_{k,n} = (Delta/2) (-1)^floor(k/2) U(2 lam)_{k,n}; entries past the
+    V~_{k,n} = (Delta/2) (-1)^floor(k/2) U(2 lam)_{k,n}, from the squeezed
+    column recurred only as deep as this cutoff needs; entries past the
     computed column are below double underflow and stay zero.
     """
     ks = np.arange(n % 2, cutoff + 1, 2)
     values = np.zeros(ks.size)
     if delta != 0.0:
-        x = _squeezed_column(g, n)[: ks.size]
+        x = _squeezed_column(g, n, cutoff)[: ks.size]
         values[: x.size] = np.where(np.arange(x.size) % 2 == 0, 0.5, -0.5) * delta * x
     ks.setflags(write=False)
     values.setflags(write=False)

@@ -117,6 +117,19 @@ def p_exact(n: int, s: int, x: Fraction | int | float) -> Fraction:
     return Fraction(w, d)
 
 
+def _exact_double(n: int, s: int, x: float) -> float:
+    """float(p_exact(n, s, x)) for indices p_exact admits; +-inf past the double range.
+
+    The exact sum's w/d is not reduced: int true division rounds it
+    correctly, and a rational has one correctly rounded double.
+    """
+    w, _, _, d = _exact_sum(n, s, _binary_fraction(x))
+    try:
+        return w / d
+    except OverflowError:
+        return -math.inf if w < 0 else math.inf
+
+
 def _signed_exp(sign: float, log_abs: float) -> float:
     """sign * exp(log_abs), overflowing to +-inf where exp leaves the double range."""
     if sign == 0.0:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from rabi_spectra import Branch, Parity, cli, converged_levels, derive_params, perturb, squeeze
+from rabi_spectra import Branch, Parity, cli, converged_levels, derive_params, perturb, polys, squeeze
 from rabi_spectra.cli import main
 from rabi_spectra.model import ChainSelector
 
@@ -404,6 +404,27 @@ class TestPoly:
         assert run_cli(argv, tmp_path) == 0
         _, rows = parse_csv(capsys.readouterr().out)
         assert rows == [["20", "-inf", "-inf", "-inf", "inf"]]
+
+    # The exact cell divides the exact sum's integers without reducing them;
+    # it must print what the reduced fraction rounds to, inf and 0 included.
+    @pytest.mark.parametrize(
+        "n,m,x_min,x_max,special",
+        [(0, 0, "0.5", "1.5", None), (63, 67, "-3", "3", None), (300, 300, "1e-300", "1e-299", None),
+         (301, 303, "-1e300", "-1e299", "-inf"), (301, 303, "1e299", "1e300", "inf"),
+         (3, 3, "-1e-320", "1e-320", "0")],
+    )
+    def test_exact_cells_equal_the_rounded_fraction(self, tmp_path, capsys, n, m, x_min, x_max, special):
+        argv = ["poly", "--n", str(n), "--m", str(m), f"--x-min={x_min}", f"--x-max={x_max}", "--points", "5"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        for r in rows:
+            exact = polys.p_exact(n, (m - n) // 2, float(r[0]))
+            try:
+                expected = float(exact)
+            except OverflowError:
+                expected = -math.inf if exact < 0 else math.inf
+            assert r[1] == cli._fmt(expected)
+        assert special is None or special in [r[1] for r in rows]
 
     def test_cells_below_the_double_max_stay_finite(self, tmp_path, capsys):
         # P_134(100) = 1.31e308 is a double: every column printed inf, since

@@ -767,9 +767,9 @@ class TestNewtonGuesses:
         assert calls == []
 
     # Every level count takes one route.  The edges of its stop rule: below
-    # 8 levels no guess may be left late, from 8 on one may.  Past 256
+    # 16 levels one guess may be left late, from 16 on two may.  Past 256
     # brackets a multisection sweep falls from two points per bracket to one.
-    @pytest.mark.parametrize("levels", [1, 7, 8, 9, 255, 257])
+    @pytest.mark.parametrize("levels", [1, 7, 8, 9, 15, 16, 255, 257])
     @pytest.mark.parametrize("g,delta", [(0.2, 1.0), (0.45, 6.0), (0.05, 20.0)])
     def test_one_route_at_every_level_count(self, slope_counter, g, delta, levels):
         p, chain = derive_params(g, delta), ChainSelector(Branch.PLUS, Parity.ODD)

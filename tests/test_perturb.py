@@ -30,6 +30,7 @@ from rabi_spectra import (
     v_tilde_row,
 )
 from rabi_spectra.model import ChainSelector
+from rabi_spectra.perturb import _squeezed_column
 from rabi_spectra.polys import MAX_ELEMENT_INDEX
 from rabi_spectra.squeeze import parity_sign_diagonal
 
@@ -181,6 +182,35 @@ class TestRowRecurrence:
                 assert abs(vals[i] - ref) <= 1e-12
                 if g == 0.2 and abs(ref) > 1e-250:
                     assert abs(vals[i] - ref) <= 1e-11 * abs(ref)
+
+    # The backward recurrence starts past the row's own cutoff, so rows of
+    # different cutoffs agree to rounding, not bit for bit.  At g = 0.49,
+    # n = 1000 the column spreads past the work budget.
+    @pytest.mark.parametrize(
+        "g,n", [(g, n) for g in (0.2, 0.45, 0.49) for n in (0, 11, 100, 1000) if (g, n) != (0.49, 1000)]
+    )
+    def test_rows_are_prefixes_of_a_longer_row(self, g, n):
+        params = derive_params(g, 1.0)
+        _, full = v_tilde_row(params, n, max(4000, 8 * n))
+        for cutoff in (n + 2, 4 * n + 2, 2000):
+            _, vals = v_tilde_row(params, n, cutoff)
+            assert np.max(np.abs(vals - full[: vals.size])) <= 1e-13, cutoff
+
+    def test_tail_mass_before_the_turning_point(self):
+        # Cutoff 100 ends before the outer turning point (Fock index 475) of
+        # row 25 at g = 0.45, so about 0.18 of the row's mass lies past it and
+        # only a column normalised past the cutoff accounts for it.
+        params = derive_params(0.45, 1.0)
+        ks, vals = v_tilde_row(params, 25, 2000)
+        tail = float(np.sum(vals[ks > 100] ** 2))
+        assert tail > 0.1
+        assert abs(row_tail_mass(25, params, 100) - tail) <= 1e-14
+
+    def test_column_stops_past_its_cutoff(self):
+        # 1000 returned sites plus 62 decades of the decay r2 = 0.928 at
+        # g = 0.45, ceil(62 ln 10 / -ln r2) + 3 = 1919 sites; the start past
+        # double underflow took about 11,900.
+        assert len(_squeezed_column(0.45, 25, 2000)) <= 2919
 
     def test_far_cutoff_rescaling(self):
         params = derive_params(0.45, 1.0)
