@@ -182,7 +182,10 @@ def _suite_perturb(g: float, delta: float, dim: int) -> list[_Check]:
     sums, consist = [], []
     # Recurrence rows against the closed-form squeeze elements behind v_tilde.
     for n in (4, 11, 25):
-        ks, vals = perturb.v_tilde_row(params, n, 2000)
+        # Four times the row's outer turning point, n (1+2g)/(1-2g) in Fock index,
+        # so that the row holds its mass; 2000 up to g about 0.4524 (19/42 for n 25).
+        cutoff = max(2000, math.ceil(4 * n * (1 + 2 * g) / (1 - 2 * g)))
+        ks, vals = perturb.v_tilde_row(params, n, cutoff)
         # 0.25 * delta * delta overflows to inf where delta**2 would raise.
         sums.append(abs(float(np.sum(vals**2)) - 0.25 * delta * delta))
         for k, value in zip(ks[:block].tolist(), vals[:block].tolist()):

@@ -14,7 +14,9 @@ Two independent constructions are cross-validated:
   generator, via scaling-and-squaring with a Taylor core.  a^2 - a+^2 never
   couples even and odd Fock states, so the exponential is block-diagonal by
   parity and is taken on the two half-size parity blocks.  Each block is
-  tridiagonal, so the Taylor core multiplies by it one band at a time, and
+  antisymmetric tridiagonal and is built from its superdiagonal alone,
+  lam sqrt((k+1)(k+2)) for k of the block's parity, with no dense
+  generator; the Taylor core multiplies by it one band at a time, and
   only the squarings are dense products.  The result is cached per
   (dim, lam), so the checks of one verify run share one build, and it is
   read-only.
@@ -75,45 +77,36 @@ def squeeze_generator(n_dim: int) -> np.ndarray:
     return a
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling and squaring, for m whose nonzeros lie on bands +-d, d = 1 or 2.
+def _expm(band: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring, for m antisymmetric tridiagonal with superdiagonal ``band``.
 
-    A parity block of the generator has bands +-1, and the unsplit generator
-    bands +-2.  m is scaled by 2^-j to b, of 1-norm at most 1/2, and the
-    degree-18 Taylor core T = I + b (I + b/2 (... (I + b/18))) is run by
-    Horner's rule on two preallocated buffers.  Each step forms b T one band
-    at a time, in place, then divides by k as a dense product would, so it
-    costs O(n^2) and no n x n temporary; only the j squarings are dense
-    products.  The series' tail is a relative error of exp(b) of at most
-    2^-19/19! e^(1/2) (1 + 1/39) < 2.7e-23 in norm, 4e6 times below the
-    rounding of one double (1.1e-16); it commutes with b, so the squarings
-    amplify it 2^j-fold, as they do the rounding.
-
-    Raises:
-        ValueError: if m has a nonzero off the bands +-1, or off +-2.
+    m is the (band.size + 1)-square matrix with m[i, i+1] = band[i] and
+    m[i+1, i] = -band[i], as a parity block of the generator is.  m is
+    scaled by 2^-j to b, of 1-norm at most 1/2, and the degree-18 Taylor
+    core T = I + b (I + b/2 (... (I + b/18))) is run by Horner's rule on two
+    preallocated buffers.  Each step forms b T one band at a time, in place,
+    then divides by k as a dense product would, so it costs O(n^2) and no
+    n x n temporary; only the j squarings are dense products.  The series'
+    tail is a relative error of exp(b) of at most 2^-19/19! e^(1/2)
+    (1 + 1/39) < 2.7e-23 in norm, 4e6 times below the rounding of one double
+    (1.1e-16); it commutes with b, so the squarings amplify it 2^j-fold, as
+    they do the rounding.
     """
-    n = m.shape[0]
-    nonzeros = np.count_nonzero(m)
-    for d in (1, 2):
-        up, down = m.diagonal(d), m.diagonal(-d)
-        if np.count_nonzero(up) + np.count_nonzero(down) == nonzeros:
-            break
-    else:
-        raise ValueError("_expm takes a matrix whose nonzeros lie on bands +-1 or +-2")
-    # The 1-norm: column j holds m[j-d, j] = up[j-d] and m[j+d, j] = down[j].
+    n = band.size + 1
+    # The 1-norm: column j holds m[j-1, j] = band[j-1] and m[j+1, j] = -band[j].
     col = np.zeros(n)
-    col[d:] += np.abs(up)
-    col[: n - d] += np.abs(down)
+    col[1:] += np.abs(band)
+    col[:-1] += np.abs(band)
     norm = float(np.max(col))
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    up, down = up[:, None] / 2.0**squarings, down[:, None] / 2.0**squarings
+    band = band[:, None] / 2.0**squarings
     t, w = np.eye(n), np.empty((n, n))
     for k in range(18, 0, -1):
-        # w = I + (b t)/k, where row i of b t is up[i] t[i+d] + down[i-d] t[i-d].
-        np.multiply(t[d:], up, out=w[: n - d])
-        w[n - d:] = 0.0
-        t[: n - d] *= down
-        w[d:] += t[: n - d]
+        # w = I + (b t)/k, where row i of b t is band[i] t[i+1] - band[i-1] t[i-1].
+        np.multiply(t[1:], band, out=w[:-1])
+        w[-1] = 0.0
+        t[:-1] *= band
+        w[1:] -= t[:-1]
         w /= k
         w.reshape(-1)[:: n + 1] += 1.0
         t, w = w, t
@@ -125,11 +118,11 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _oracle_cached(n_dim: int, lam: float) -> np.ndarray:
-    g = squeeze_generator(n_dim)
-    g *= lam
     u = np.zeros((n_dim, n_dim))
     for p in (0, 1):
-        u[p::2, p::2] = _expm(g[p::2, p::2])
+        # The parity block's superdiagonal: squeeze_generator's entries (k, k+2), times lam.
+        k = np.arange(p, n_dim - 2, 2)
+        u[p::2, p::2] = _expm(lam * np.sqrt((k + 1.0) * (k + 2.0)))
     u.setflags(write=False)
     return u
 

@@ -289,6 +289,27 @@ class TestVerify:
         assert code == 0, out
         assert re.search(r"^v_tilde_row_vs_closed_form: \S+ < 1\.0e-10 PASS$", out, re.M), out
 
+    def test_rows_reach_past_the_turning_point_near_half(self, tmp_path, capsys):
+        # At the fixed cutoff 2000, row 25 ended before its outer turning point
+        # (about 99 n in Fock index here) and row_sum_identity read 8.3e-2.
+        code = run_cli(["verify", "--g", "0.49", "--suite", "perturb"], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert re.search(r"^row_sum_identity: \S+ < 1\.0e-08 PASS$", out, re.M), out
+
+    @pytest.mark.parametrize("g", ["0.2", "0.45"])
+    def test_rows_keep_cutoff_2000_below_the_edge(self, tmp_path, monkeypatch, capsys, g):
+        cutoffs = []
+        row = perturb.v_tilde_row
+
+        def recording(params, n, cutoff):
+            cutoffs.append(cutoff)
+            return row(params, n, cutoff)
+
+        monkeypatch.setattr(perturb, "v_tilde_row", recording)
+        assert run_cli(["verify", "--g", g, "--suite", "perturb"], tmp_path) == 0
+        assert cutoffs == [2000, 2000, 2000]
+
     # Warnings are errors here: an inf or nan residual must show as a FAIL
     # line, not as a numpy warning or a traceback.
     @pytest.mark.filterwarnings("error")

@@ -5,6 +5,7 @@ import math
 import re
 import time
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -276,6 +277,82 @@ class TestCertificateSweep:
             np.testing.assert_array_equal(got_hi, full_sweep_counts(t, xs), err_msg=name)
             np.testing.assert_array_equal(got_lo, full_sweep_counts(lowered, xs), err_msg=name)
         np.testing.assert_array_equal(got_lo - got_hi, [1, 1, 0])
+
+
+def exact_counts(t: SymTriMatrix, xs: list, last: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of ``t`` strictly below each exact shift, the last diagonal last_j for shift j.
+
+    Sylvester's law of inertia on the LDL^T pivots q_i = p_i / p_{i-1} of
+    T - x, with p_i its leading minors, recurred in exact integers after one
+    common power-of-two scale.  A zero minor keeps its predecessor's sign:
+    the limit from just below x, where an eigenvalue at x is not counted.  A
+    zero coupling restarts the minors, as the sweep restarts its pivots.
+    """
+    lasts = [Fraction(t.diag[-1])] * len(xs) if last is None else [Fraction(v) for v in last]
+    entries = [Fraction(v) for v in (*t.diag.tolist(), *t.off.tolist())]
+    scale = max(v.denominator for v in entries + list(xs) + lasts)
+    diag = [int(v * scale) for v in entries[: t.n]]
+    off_sq = [0] + [int(v * scale) ** 2 for v in entries[t.n :]]
+    counts = []
+    for x, last_x in zip(xs, lasts):
+        diag[-1] = int(last_x * scale)
+        x = int(x * scale)
+        count, sign, prev, prev2 = 0, 1, 1, 0
+        for d, b_sq in zip(diag, off_sq):
+            if not b_sq:
+                sign, prev, prev2 = 1, 1, 0
+            p = (d - x) * prev - b_sq * prev2
+            new = sign if p == 0 else (1 if p > 0 else -1)
+            count += new != sign
+            sign, prev, prev2 = new, p, prev
+        counts.append(count)
+    return np.array(counts)
+
+
+def audit_chains() -> list[SymTriMatrix]:
+    """41-site chains at g 0.2, 0.45, 0.49 and Delta 0, 1, 6, and two cut from the second.
+
+    One has zero couplings, the other couplings 1e-160, whose b^2 is
+    subnormal; it has 24 sites, since its exact scale is 2^584.
+    """
+    selectors = itertools.cycle(ChainSelector(b, p) for b in Branch for p in Parity)
+    chains = [
+        build_chain(derive_params(g, delta), next(selectors), 41)
+        for g, delta in itertools.product([0.2, 0.45, 0.49], [0.0, 1.0, 6.0])
+    ]
+    base = chains[1]
+    for coupling, sites in ((0.0, [3, 17, 39]), (1e-160, [3, 11, 22])):
+        n = sites[-1] + 2
+        off = base.off[: n - 1].copy()
+        off[sites] = coupling
+        chains.append(SymTriMatrix(diag=base.diag[:n], off=off))
+    return chains
+
+
+class TestExactAudit:
+    """exact_count(x - a) <= float count(x) <= exact_count(x + a), a = 4 eps max(1, |Gershgorin ends|)."""
+
+    @pytest.mark.parametrize("lowered", [False, True], ids=["plain", "last"])
+    def test_float_counts_within_the_allowance(self, lowered):
+        steps = np.arange(-3, 4)
+        for t in audit_chains():
+            a = 4.0 * float(np.finfo(float).eps) * max(1.0, *np.abs(t.gershgorin()))
+            # With ``last``, half the shifts count T' (the last diagonal lowered by a
+            # nonzero coupling of the chain) and half T_N, in one sweep, as _enclose does.
+            matrices, last = [t], None
+            if lowered:
+                drop = abs(t.off[-2])
+                matrices.insert(0, SymTriMatrix(diag=np.append(t.diag[:-1], t.diag[-1] - drop), off=t.off))
+                last = np.repeat([t.diag[-1] - drop, t.diag[-1]], t.n * steps.size)
+            near = [np.linalg.eigvalsh(m.to_dense())[:, None] + steps * a for m in matrices]
+            xs = np.concatenate([v.ravel() for v in near])
+            got = _sturm_counts(t, xs, last)
+            a = Fraction(a)
+            below = exact_counts(t, [Fraction(x) - a for x in xs.tolist()], last)
+            above = exact_counts(t, [Fraction(x) + a for x in xs.tolist()], last)
+            assert np.all(below <= got) and np.all(got <= above)
+            # Some shifts lie within a of a level, where the window is open.
+            assert np.any(below < above)
 
 
 class TestBisection:
