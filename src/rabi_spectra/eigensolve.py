@@ -19,7 +19,8 @@ Newton steps on log|det(T_N - x)| (Li and Zeng 1994) from the three-term
 asymptotic formula, inside its Weyl bracket around the exactly solvable
 Delta = 0 spectrum, and the steps stop once nearly every guess has
 converged; each slope is read by the complex step (Squire and Trapp 1998)
-from one pivot sweep at x + ih.  A bracket around the guess encloses the
+from one pivot sweep at x + ih, the Sturm count's recurrence
+(``_pivot_blocks``) in complex arithmetic.  A bracket around the guess encloses the
 level of the infinite chain from above by a Sturm count of the truncation
 and, from below, by a Sturm count of the truncation with its last diagonal
 lowered by the dropped coupling (a rank-one split whose tail lies above a
@@ -36,8 +37,10 @@ are those of a full sweep.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,7 +61,7 @@ MAX_CHAIN_DIM = 2**20
 MAX_CHAIN_WORK = 2**26
 _EPS = float(np.finfo(float).eps)
 _PATHS = ("direct", "a_posteriori")
-# Sites per block of a Sturm sweep: d_i - x is formed for a block at once.
+# Sites per block of a pivot sweep (_pivot_blocks): d_i - x is formed for a block at once.
 _SWEEP_BLOCK = 16
 # Shifts per Sturm sweep of _bisect, shared out among the brackets.
 _SWEEP_SHIFTS = 512
@@ -109,6 +112,39 @@ class Spectrum:
             raise ValueError(f"path must be one of {_PATHS}")
 
 
+def _pivot_blocks(t: SymTriMatrix, pivots: np.ndarray, fill: Callable) -> Iterator[np.ndarray]:
+    """Sweep the pivots of ``t`` for many shifts at once, yielding them ``_SWEEP_BLOCK`` sites at a time.
+
+    The pivots of T - x are q_0 = d_0 - x and q_i = (d_i - x) - b_{i-1}^2 /
+    q_{i-1}, one column of ``pivots`` per shift, whose dtype (float for a
+    Sturm count, complex for a complex step) the b^2 are cast to.  For each
+    block of sites from ``start`` on, ``fill(block, start)`` writes d_i - x
+    into the leading rows of the buffer ``pivots``, the pivots overwrite it
+    row by row, unguarded, and the block is yielded; the next block
+    overwrites it, so each block's last pivot is copied out first.  Where
+    b_{i-1}^2 = 0 (i = 0, a zero coupling, or one whose square underflows)
+    the divide is skipped and the pivot restarts at d_i - x, so 0/0 never
+    occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.  A zero
+    or tiny pivot makes the next one huge or infinite; callers set the
+    ``np.errstate`` that this needs.
+    """
+    off_sq = np.concatenate([[0.0], t.off**2]).astype(pivots.dtype, copy=False)
+    rows = list(pivots)
+    q, ratio = np.empty((2, pivots.shape[1]), pivots.dtype)
+    for start in range(0, t.n, _SWEEP_BLOCK):
+        block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
+        fill(block, start)
+        prev = q
+        # Outputs go positionally: the out= keyword costs a parse per call.
+        for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
+            if b_sq:
+                np.divide(b_sq, prev, ratio)
+                np.subtract(row, ratio, row)
+            prev = row
+        np.copyto(q, prev)
+        yield block
+
+
 def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in ``xs``.
 
@@ -116,14 +152,10 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = Non
     diagonal replaced by last_j, so that one sweep counts matrices that
     differ only there.
 
-    The pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} are swept unguarded,
-    ``_SWEEP_BLOCK`` sites at a time: each pivot overwrites d_i - x in the
-    block buffer, and the sign bits of a block are summed at once.  A zero
-    or tiny pivot makes the next one huge or infinite with the opposite sign
-    bit, so the pair still counts once, as the exact sequence does.  Where
-    b_{i-1}^2 = 0 (i = 0, a zero coupling, or one whose square underflows)
-    the divide is skipped and the pivot restarts at d_i - x, so 0/0 never
-    occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.
+    The count is the number of negative pivots of :func:`_pivot_blocks`,
+    whose sign bits are summed a block at a time.  A zero or tiny pivot
+    makes the next one huge or infinite with the opposite sign bit, so the
+    pair still counts once, as the exact sequence does.
 
     The sweep ends at a block boundary j once the rest of the chain is
     proved count-free for every shift.  With X = max(xs), the pivot floor of
@@ -142,11 +174,7 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = Non
     last_j - x_j by the same monotonicity.
     """
     xs = np.asarray(xs, dtype=float)
-    off_sq = np.concatenate([[0.0], t.off**2])
-    q = np.empty(xs.shape)
-    ratio = np.empty(xs.shape)
     pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size))
-    rows = list(pivots)
     count = np.zeros(xs.shape, dtype=np.int64)
     size = np.abs(t.off)
     # The pivot floor f_i at the top shift; a zero coupling's 0/0 fails the gate.
@@ -155,31 +183,26 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = Non
         floor = t.diag - top
         if last is not None:
             floor[-1] = float(np.min(last, initial=math.inf)) - top
-        floor[1:] -= off_sq[1:] / size
+        floor[1:] -= t.off**2 / size
     proved = floor > 0
     proved[:-1] &= floor[:-1] >= size
     short = np.flatnonzero(~proved)
     gate = int(short[-1]) + 1 if short.size else 1
+
+    def fill(block: np.ndarray, start: int) -> None:
+        # d_i - x over a copy of the shifts: from xs itself numpy would buffer a second block.
+        np.copyto(block, xs)
+        np.subtract(t.diag[start : start + block.shape[0], None], block, block)
+        if last is not None and start + block.shape[0] == t.n:
+            np.subtract(last, xs, block[-1])
+
+    end = 0
     with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, t.n, _SWEEP_BLOCK):
-            if start >= gate and q.min(initial=math.inf) >= size[start - 1]:
-                break
-            block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
-            # d_i - x over a copy of the shifts: from xs itself numpy would buffer a second block.
-            np.copyto(block, xs)
-            np.subtract(t.diag[start : start + block.shape[0], None], block, block)
-            if last is not None and start + block.shape[0] == t.n:
-                np.subtract(last, xs, block[-1])
-            prev = q
-            # Outputs go positionally: the out= keyword costs a parse per call.
-            for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
-                if b_sq:
-                    np.divide(b_sq, prev, ratio)
-                    np.subtract(row, ratio, row)
-                prev = row
+        for block in _pivot_blocks(t, pivots, fill):
             count += np.signbit(block).sum(axis=0)
-            # The next block overwrites the buffer, so its last pivot is copied out.
-            np.copyto(q, prev)
+            end += block.shape[0]
+            if gate <= end < t.n and block[-1].min(initial=math.inf) >= size[end - 1]:
+                break
     return count
 
 
@@ -187,31 +210,22 @@ def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     """Slope G(x) = sum_i q_i'/q_i = sum_k 1/(x - lambda_k) of log|det(T - x)| at each shift in ``xs``.
 
     The complex step (Squire and Trapp, SIAM Review 40, 1998): the pivots of
-    :func:`_sturm_counts`, with its skips where b_{i-1}^2 = 0, are swept in
-    complex arithmetic at z = x + ih, h = 2^-200, so that
-    q_i(z) = q_i(x) + ih q_i'(x) up to terms h^2 below rounding, and
-    Im q_i / (h Re q_i) reads q_i'/q_i with no difference to cancel.  Each
-    site costs a divide and a subtract, as in the count.  A zero pivot makes
-    G inf or NaN.
+    :func:`_pivot_blocks` are swept in complex arithmetic at z = x + ih,
+    h = 2^-200, so that q_i(z) = q_i(x) + ih q_i'(x) up to terms h^2 below
+    rounding, and Im q_i / (h Re q_i) reads q_i'/q_i with no difference to
+    cancel.  Each site costs a divide and a subtract, as in the count.  A
+    zero pivot makes G inf or NaN.
     """
-    off_sq = np.concatenate([[0.0], t.off**2]).astype(complex)
     pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size), dtype=complex)
-    rows = list(pivots)
-    q, ratio = np.empty(xs.shape, dtype=complex), np.empty(xs.shape, dtype=complex)
     total, part = np.zeros(xs.shape), np.empty(xs.shape)
+
+    def fill(block: np.ndarray, start: int) -> None:
+        # The shift's parts go to the views, so that no ufunc casts float to complex.
+        np.subtract(t.diag[start : start + block.shape[0], None], xs, block.real)
+        block.imag = -_SLOPE_STEP
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, t.n, _SWEEP_BLOCK):
-            block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
-            # The shift's parts go to the views, so that no ufunc casts float to complex.
-            np.subtract(t.diag[start : start + block.shape[0], None], xs, block.real)
-            block.imag = -_SLOPE_STEP
-            prev = q
-            for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
-                if b_sq:
-                    np.divide(b_sq, prev, ratio)
-                    np.subtract(row, ratio, row)
-                prev = row
-            np.copyto(q, prev)
+        for block in _pivot_blocks(t, pivots, fill):
             # With the last pivot copied out, each q_i'/q_i overwrites Re q_i.
             np.divide(block.imag, block.real, block.real)
             total += block.real.sum(axis=0, out=part)
@@ -416,6 +430,9 @@ def converged_levels(
     bracket half-width plus a, and F is lowered by a.  Every level must be
     enclosed with its bound below tol.
 
+    ``level_count`` and ``first`` go through ``operator.index``: numpy
+    integers are read as ints, and a non-integer raises TypeError.
+
     Raises:
         ValueError: if level_count < 1 or first < 0, if tol is not positive
             or makes the start brackets (width 2 (|Delta|/2 + tol)) overflow,
@@ -427,6 +444,7 @@ def converged_levels(
             checked before the chain is built, or if a level is not enclosed
             with its bound below tol at that truncation.
     """
+    level_count, first = operator.index(level_count), operator.index(first)
     if level_count < 1:
         raise ValueError("level_count must be at least 1")
     if first < 0:

@@ -223,7 +223,12 @@ def _v_row_cached(g: float, delta: float, n: int, cutoff: int) -> tuple[np.ndarr
 
 
 def v_tilde_row(params: ModelParams, n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """All same-parity elements V~_{k,n}, k <= cutoff, as (indices, values)."""
+    """All same-parity elements V~_{k,n}, k <= cutoff, as (indices, values).
+
+    ``n`` and ``cutoff`` go through ``operator.index``: numpy integers are
+    read as ints, and a non-integer raises TypeError.
+    """
+    n, cutoff = operator.index(n), operator.index(cutoff)
     if n < 0 or cutoff < n:
         raise ValueError("need 0 <= n <= cutoff")
     if cutoff > MAX_ELEMENT_INDEX:
@@ -236,10 +241,12 @@ def v_tilde_diag_asym(n: int, params: ModelParams) -> float:
 
        (-1)^{floor(n/2)} (Delta/2) sqrt(omega/(pi g n)) cos(A (n+1/2) - pi n/2),
 
-    A = arctan(omega/(2g)); the dropped remainder is O(n^{-3/2}).
+    A = arctan(omega/(2g)); the dropped remainder is O(n^{-3/2}).  A g at
+    which omega/(pi g n) overflows raises ValueError.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
+    _check_amplitude(params, n)
     return float(_diag_asym(params, np.asarray(n)))
 
 
@@ -327,6 +334,19 @@ def delta_n(model: SpectrumModel, n: int, m_cutoff: int) -> float:
     return float(np.sqrt(np.sum((model.row_norms[ms] / denom) ** 2)))
 
 
+def _check_amplitude(params: ModelParams, n: int) -> None:
+    """Refuse a g so small that omega/(pi g n), under the oscillatory term's square root, overflows.
+
+    The quotient falls with n, so the least n of a range decides.  It is
+    rounded as ``model._diag_asym`` rounds it, so every admitted cell is
+    finite.
+    """
+    if not math.isfinite(params.omega / (math.pi * params.g * float(n))):
+        raise ValueError(
+            f"g={params.g!r} is too small for the three-term formula: omega/(pi g n) overflows at n={n}"
+        )
+
+
 def _three_term_columns(
     params: ModelParams, branch: Branch, ns: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -344,10 +364,12 @@ def three_term(n: int, params: ModelParams, branch: Branch) -> AsymptoticBreakdo
     """Three-term asymptotic breakdown of level n (numeric fields unfilled).
 
     The one-row form of the columns that :func:`residual_study` computes, so
-    its fields equal those of row n there exactly.
+    its fields equal those of row n there exactly.  A g at which
+    omega/(pi g n) overflows raises ValueError.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
+    _check_amplitude(params, n)
     linear, shift, oscillatory, total = _three_term_columns(params, branch, np.arange(n, n + 1))
     return AsymptoticBreakdown(n, linear.item(), shift, oscillatory.item(), total.item())
 
@@ -369,12 +391,14 @@ def residual_study(
     from this formula; its convergence failures propagate.
     Every column (numeric, the formula's terms, residual) is computed once
     over the whole range, and each row of the formula's terms equals
-    :func:`three_term` of its n.
+    :func:`three_term` of its n.  A g at which the formula overflows at
+    n_min raises ValueError before any chain is built.
     """
     if n_min < 10:
         raise ValueError("requires n_min >= 10")
     if n_max < n_min:
         raise ValueError("requires n_max >= n_min")
+    _check_amplitude(params, n_min)
     ns = np.arange(n_min, n_max + 1)
     numeric = np.empty(ns.size)
     for parity in (Parity.EVEN, Parity.ODD):

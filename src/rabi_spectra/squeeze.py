@@ -42,7 +42,6 @@ from .polys import MAX_ELEMENT_INDEX
 
 __all__ = [
     "MAX_ORACLE_DIM",
-    "squeeze_generator",
     "u_element",
     "u_matrix_oracle",
     "factorization_residual",
@@ -54,27 +53,11 @@ __all__ = [
 MAX_ORACLE_DIM = 512
 
 
-def _check_dim(n_dim: int) -> None:
-    if not 2 <= n_dim <= MAX_ORACLE_DIM:
-        raise ValueError(f"truncation dimension must be in [2, {MAX_ORACLE_DIM}]")
-
-
 def _certified(n_dim: int) -> int:
     """Side of the certified block; it is empty below dimension 4."""
     if not 4 <= n_dim <= MAX_ORACLE_DIM:
         raise ValueError(f"truncation dimension must be in [4, {MAX_ORACLE_DIM}]")
     return n_dim // 4
-
-
-def squeeze_generator(n_dim: int) -> np.ndarray:
-    """Antisymmetric banded matrix of a^2 - a+^2 on the truncation."""
-    _check_dim(n_dim)
-    a = np.zeros((n_dim, n_dim))
-    ns = np.arange(n_dim - 2)
-    coeff = np.sqrt((ns + 1.0) * (ns + 2.0))
-    a[ns, ns + 2] = coeff
-    a[ns + 2, ns] = -coeff
-    return a
 
 
 def _expm(band: np.ndarray) -> np.ndarray:
@@ -120,7 +103,7 @@ def _expm(band: np.ndarray) -> np.ndarray:
 def _oracle_cached(n_dim: int, lam: float) -> np.ndarray:
     u = np.zeros((n_dim, n_dim))
     for p in (0, 1):
-        # The parity block's superdiagonal: squeeze_generator's entries (k, k+2), times lam.
+        # The parity block's superdiagonal: the generator's entries (k, k+2), times lam.
         k = np.arange(p, n_dim - 2, 2)
         u[p::2, p::2] = _expm(lam * np.sqrt((k + 1.0) * (k + 2.0)))
     u.setflags(write=False)
@@ -138,7 +121,8 @@ def u_matrix_oracle(n_dim: int, lam: float) -> np.ndarray:
     Only the top-left quarter block is certified: truncating the generator
     perturbs columns near the cut, and the error decays away from it.
     """
-    _check_dim(n_dim)
+    if not 2 <= n_dim <= MAX_ORACLE_DIM:
+        raise ValueError(f"truncation dimension must be in [2, {MAX_ORACLE_DIM}]")
     if not math.isfinite(lam):
         raise ValueError(f"squeeze parameter lam={lam!r} must be finite")
     return _oracle_cached(n_dim, float(lam))

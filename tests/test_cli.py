@@ -262,6 +262,25 @@ class TestResiduals:
         for plus_row, minus_row in zip(rows["plus"], rows["minus"]):
             assert float(plus_row[4]) == -float(minus_row[4])
 
+    # omega/(pi g n) under the oscillatory amplitude overflows at n 50 from g
+    # about 3e-311 down; at 4e-311 every cell is finite.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_formula_exit_2_before_any_chain(self, tmp_path, monkeypatch, capsys):
+        import rabi_spectra.eigensolve as eigensolve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was built before the g check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolve, "build_chain", refuse)
+            for g in ("1e-320", "3e-311"):
+                assert run_cli(["residuals", "--g", g, "--n-max", "60"], tmp_path) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and f"g={g}" in err and "Traceback" not in err, err
+        assert run_cli(["residuals", "--g", "4e-311", "--n-max", "60"], tmp_path) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
 
 class TestVerify:
     def test_full_suite_passes(self, tmp_path, capsys):

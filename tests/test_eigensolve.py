@@ -681,6 +681,18 @@ class TestConvergedLevels:
                 derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN), 0, 1e-8
             )
 
+    def test_level_count_and_first_are_integers(self):
+        # Unchecked, level_count 3.5 certified 4 levels and first 1.5 named "level 1.5" in an error.
+        p, chain = derive_params(0.2, 1.0), ChainSelector(Branch.PLUS, Parity.EVEN)
+        for level_count, first in ((3.5, 0), (3, 1.5)):
+            with pytest.raises(TypeError):
+                converged_levels(p, chain, level_count, 1e-8, first)
+        got = converged_levels(p, chain, np.int64(3), 1e-8, np.int32(1))
+        want = converged_levels(p, chain, 3, 1e-8, 1)
+        assert type(got.first) is int and got.first == 1
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.bounds, want.bounds)
+
     def test_budget_checked_before_any_chain(self, monkeypatch):
         import rabi_spectra.eigensolve as eigensolve
 
@@ -882,6 +894,20 @@ class TestDetSlopes:
         rng = np.random.default_rng(40 + n)
         for _ in range(5):
             t = random_chain(rng, n)
+            xs = gap_midpoints(t, n)
+            ref, size = lapack_slopes(t, xs)
+            assert np.all(np.abs(_det_slopes(t, xs) - ref) <= 1e-10 * size)
+
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 128])
+    def test_split_chains(self, n):
+        # Exact-zero couplings restart the pivots: one mid-chain, one at the first
+        # site of the second sweep block (or the last coupling), and about one in ten.
+        rng = np.random.default_rng(80 + n)
+        for _ in range(5):
+            off = rng.normal(0, 2, n - 1)
+            off[[(n - 1) // 2, min(15, n - 2)]] = 0.0
+            off[rng.random(n - 1) < 0.1] = 0.0
+            t = SymTriMatrix(diag=rng.normal(0, 3, n), off=off)
             xs = gap_midpoints(t, n)
             ref, size = lapack_slopes(t, xs)
             assert np.all(np.abs(_det_slopes(t, xs) - ref) <= 1e-10 * size)

@@ -4,8 +4,9 @@ import rabi_spectra
 from rabi_spectra import eigensolve, model, perturb, polys, squeeze
 
 # Every name the package exported by hand before it re-exported the modules'
-# __all__ lists (BandedMatrix is gone: the full-branch matrix is a dense array),
-# and the public names added since.
+# __all__ lists (BandedMatrix is gone: the full-branch matrix is a dense array;
+# squeeze_generator is gone: it is the squeeze tests' dense reference), and the
+# public names added since.
 FROZEN = {
     "AsymValue", "AsymptoticBreakdown", "Branch", "ChainSelector", "ConvergenceError",
     "DegenerateGapError", "DomainError", "ModelParams", "Parity", "PhaseSpec", "PolyValue",
@@ -14,7 +15,7 @@ FROZEN = {
     "eigenvalues_bisection", "eigenvalues_dense", "factorization_residual",
     "h0_transform_residual", "hyper_f", "k_norm_sq", "k_norm_sq_tail", "p_asym",
     "p_asym_parts", "p_asym_remainder", "p_exact", "p_fast", "p_fast_parts", "phase_integral",
-    "residual_study", "row_tail_mass", "second_order", "second_order_tail", "squeeze_generator",
+    "residual_study", "row_tail_mass", "second_order", "second_order_tail",
     "sturm_count", "three_term", "u_element", "u_matrix_oracle", "uvu_residual", "v_tilde",
     "v_tilde_diag_asym", "v_tilde_row",
 }

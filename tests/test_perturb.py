@@ -149,6 +149,17 @@ class TestVTilde:
         with pytest.raises(ValueError, match="cutoff exceeds"):
             v_tilde_row(PARAMS, 5, MAX_ELEMENT_INDEX + 1)
 
+    def test_row_indices_are_integers(self):
+        # Unchecked, a float cutoff gave float indices and a float n a slice TypeError deep inside.
+        for n, cutoff in ((3, 100.0), (3.0, 100)):
+            with pytest.raises(TypeError):
+                v_tilde_row(PARAMS, n, cutoff)
+        ks, vals = v_tilde_row(PARAMS, np.int64(3), np.int32(100))
+        want_ks, want_vals = v_tilde_row(PARAMS, 3, 100)
+        assert ks.dtype == want_ks.dtype
+        np.testing.assert_array_equal(ks, want_ks)
+        np.testing.assert_array_equal(vals, want_vals)
+
     def test_index_guard(self):
         with pytest.raises(ValueError):
             v_tilde(100_001, 1, PARAMS)
@@ -422,6 +433,13 @@ class TestThreeTerm:
     def test_index_guard(self):
         with pytest.raises(ValueError, match="n >= 1"):
             three_term(0, PARAMS, Branch.PLUS)
+
+    def test_overflowing_amplitude_raises(self):
+        # omega/(pi g n) overflows at n 50 for g 3e-311, not for 4e-311.
+        for f in (lambda p: three_term(50, p, Branch.PLUS).three_term, lambda p: v_tilde_diag_asym(50, p)):
+            with pytest.raises(ValueError, match="g=3e-311"):
+                f(derive_params(3e-311, 1.0))
+            assert math.isfinite(f(derive_params(4e-311, 1.0)))
 
     def test_breakdown_fields(self):
         b = three_term(40, PARAMS, Branch.MINUS)

@@ -11,7 +11,6 @@ from rabi_spectra import (
     factorization_residual,
     h0_transform_residual,
     squeeze,
-    squeeze_generator,
     u_element,
     u_matrix_oracle,
     uvu_residual,
@@ -19,6 +18,16 @@ from rabi_spectra import (
 from rabi_spectra.model import Branch, build_full_branch
 
 LAM_SAMPLES = [0.05, 0.10591223254840046, 0.2, -0.15]
+
+
+def squeeze_generator(n_dim):
+    """Dense reference: the antisymmetric banded matrix of a^2 - a+^2 on the truncation."""
+    a = np.zeros((n_dim, n_dim))
+    ns = np.arange(n_dim - 2)
+    coeff = np.sqrt((ns + 1.0) * (ns + 2.0))
+    a[ns, ns + 2] = coeff
+    a[ns + 2, ns] = -coeff
+    return a
 
 
 class TestUElement:
