@@ -20,7 +20,10 @@ asymptotic formula, inside its Weyl bracket around the exactly solvable
 Delta = 0 spectrum, and the steps stop once nearly every guess has
 converged; each slope is read by the complex step (Squire and Trapp 1998)
 from one pivot sweep at x + ih, the Sturm count's recurrence
-(``_pivot_blocks``) in complex arithmetic.  A bracket around the guess encloses the
+(``_pivot_blocks``) in complex arithmetic, and each step is deflated of the
+other levels' share of the slope, as in the Ehrlich-Aberth iteration
+(Aberth 1973; Bini, Gemignani and Tisseur 2005), from the neighbours'
+guesses and the Delta = 0 level density.  A bracket around the guess encloses the
 level of the infinite chain from above by a Sturm count of the truncation
 and, from below, by a Sturm count of the truncation with its last diagonal
 lowered by the dropped coupling (a rank-one split whose tail lies above a
@@ -69,6 +72,8 @@ _SWEEP_SHIFTS = 512
 _NEWTON_SWEEPS = 5
 # Imaginary step of _det_slopes: h^2 is far below the rounding of any pivot.
 _SLOPE_STEP = 2.0**-200
+# Window neighbours on each side whose Newton guesses enter a level's deflation (_deflation).
+_DEFLATION_BAND = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -131,15 +136,19 @@ def _pivot_blocks(t: SymTriMatrix, pivots: np.ndarray, fill: Callable) -> Iterat
     off_sq = np.concatenate([[0.0], t.off**2]).astype(pivots.dtype, copy=False)
     rows = list(pivots)
     q, ratio = np.empty((2, pivots.shape[1]), pivots.dtype)
+    divide, subtract = np.divide, np.subtract
     for start in range(0, t.n, _SWEEP_BLOCK):
-        block = pivots[: min(_SWEEP_BLOCK, t.n - start)]
+        stop = start + min(_SWEEP_BLOCK, t.n - start)
+        block = pivots[: stop - start]
         fill(block, start)
         prev = q
-        # Outputs go positionally: the out= keyword costs a parse per call.
-        for b_sq, row in zip(off_sq[start : start + block.shape[0]].tolist(), rows):
+        # b^2 goes in as a 0-d view of its own dtype, which the ufunc reads with no conversion;
+        # the list of Python numbers only tests it for zero.  Outputs go positionally: the out=
+        # keyword costs a parse per call.
+        for i, b_sq, row in zip(range(start, stop), off_sq[start:stop].tolist(), rows):
             if b_sq:
-                np.divide(b_sq, prev, ratio)
-                np.subtract(row, ratio, row)
+                divide(off_sq[i, ...], prev, ratio)
+                subtract(row, ratio, row)
             prev = row
         np.copyto(q, prev)
         yield block
@@ -229,7 +238,31 @@ def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
             # With the last pivot copied out, each q_i'/q_i overwrites Re q_i.
             np.divide(block.imag, block.real, block.real)
             total += block.real.sum(axis=0, out=part)
-    return total / _SLOPE_STEP
+        # Next to an eigenvalue the sum may exceed h times the largest double.
+        return total / _SLOPE_STEP
+
+
+def _deflation(x: np.ndarray, ks: np.ndarray, mu: np.ndarray, spacing: float, sites: int) -> np.ndarray:
+    """Estimate D_k = sum_{j != k} 1/(x_k - lambda_j) over the other levels j of a ``sites``-site chain.
+
+    Levels j of the window ``ks`` with |j - k| <= ``_DEFLATION_BAND`` enter at
+    their guesses x_j.  The rest, j < k_lo and j > k_hi, the band's ends cut
+    to the window, are summed over the Delta = 0 levels mu_j = mu_0 + j
+    ``spacing`` by the midpoint rule, with c = k + (x_k - mu_k) / spacing, the
+    guess's place on that ladder, cut to [k_lo - 1/4, k_hi + 1/4]:
+
+        (ln((c + 1/2) / (c - k_lo + 1/2)) - ln((sites - 1/2 - c) / (k_hi + 1/2 - c))) / spacing.
+    """
+    other = np.zeros(x.shape)
+    for s in range(1, _DEFLATION_BAND + 1):
+        near = 1.0 / (x[:-s] - x[s:])
+        other[:-s] += near
+        other[s:] -= near
+    k_lo = np.maximum(ks[0], ks - _DEFLATION_BAND)
+    k_hi = np.minimum(ks[-1], ks + _DEFLATION_BAND)
+    c = np.clip(ks + (x - mu) / spacing, k_lo - 0.25, k_hi + 0.25)
+    far = np.log((c + 0.5) / (c - k_lo + 0.5)) - np.log((sites - 0.5 - c) / (k_hi + 0.5 - c))
+    return other + far / spacing
 
 
 def sturm_count(t: SymTriMatrix, x: float) -> int:
@@ -391,11 +424,23 @@ def converged_levels(
     mu_k -+ (|Delta|/2 + tol).
 
     Guess x_k comes from Newton steps on log|det(T_N - x)|, each clipped to
-    the Weyl bracket, with the slope read by the complex step
-    (``_det_slopes``).  They start from the three-term formula mu_k +- V~_nn
-    asymptotics at Fock index n = 2k + p, the sign the branch's, clipped to
-    the bracket; level 0, which has no such value, starts from mu_0.  Newton
-    converges quadratically on the scale of the level spacing, so a step s_k
+    the Weyl bracket, with the slope G(x) = sum_j 1/(x - lambda_j) read by
+    the complex step (``_det_slopes``).  The step is deflated:
+    x_k <- x_k - 1/(G(x_k) - D_k), with D_k an estimate of the other levels'
+    terms sum_{j != k} 1/(x_k - lambda_j) (``_deflation``: the window's
+    neighbours within ``_DEFLATION_BAND`` levels at their guesses, the rest
+    from the Delta = 0 level density), as in the Ehrlich-Aberth iteration
+    (Aberth, Math. Comp. 27, 1973; Bini, Gemignani and Tisseur, SIAM J.
+    Matrix Anal. Appl. 27, 2005, for tridiagonal determinants).  Undeflated,
+    these terms grow like ln N / (2 omega) and have one sign for the bottom
+    levels, where Newton then converges only linearly.  A level is a fixed
+    point of the step whatever D is, so D moves the speed, not the limit.
+    The guesses start from the three-term formula mu_k +- V~_nn asymptotics
+    at Fock index n = 2k + p, the sign the branch's, clipped to the bracket;
+    level 0, where that value is inf (n = 0) or far off (n = 1), starts from
+    its first-order shift mu_0 + sigma V~_pp, V~_pp = (Delta/2) omega^(p + 1/2)
+    exactly.  Newton converges quadratically on the scale of the level
+    spacing, so a step s_k
     with s_k^2 <= omega (tol - a)/4 is taken to leave its guess within
     (tol - a)/4 of the level, unless the step was clipped to a bracket end,
     which lies at least tol from the level; the sweeps stop once at most
@@ -480,12 +525,16 @@ def converged_levels(
     # A longer step may leave its guess more than (tol - a)/4 off its level.
     late_sq = params.omega * width / 4.0
     with np.errstate(all="ignore"):
-        # Level 0's asymptotics is inf or NaN, so it starts from mu_0.
         x = mu + chain.branch.sign * _diag_asym(params, 2 * ks + chain.parity.offset)
+        if first == 0:
+            # Level 0's asymptotics is inf (n = 0) or far off (n = 1): it starts from sigma V~_pp.
+            v_pp = (params.delta / 2.0) * params.omega ** (chain.parity.offset + 0.5)
+            x[0] = mu[0] + chain.branch.sign * v_pp
         x = np.fmax(lo, np.fmin(hi, np.where(np.isfinite(x), x, mu)))
         for _ in range(_NEWTON_SWEEPS):
             # A NaN step lands on hi, since np.fmin drops NaN.
-            new = np.fmax(lo, np.fmin(hi, x - 1.0 / _det_slopes(t, x)))
+            step = 1.0 / (_det_slopes(t, x) - _deflation(x, ks, mu, 2.0 * params.omega, n_dim))
+            new = np.fmax(lo, np.fmin(hi, x - step))
             late = np.count_nonzero(((new - x) ** 2 > late_sq) | (new == lo) | (new == hi))
             x = new
             if late <= max(1, level_count // 8):

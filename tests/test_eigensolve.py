@@ -22,6 +22,7 @@ from rabi_spectra import (
     derive_params,
     eigenvalues_bisection,
     eigenvalues_dense,
+    residual_study,
     sturm_count,
 )
 from rabi_spectra import eigensolve
@@ -463,6 +464,19 @@ def slope_counter(monkeypatch):
 
 
 @pytest.fixture
+def bisected_levels(monkeypatch):
+    """Number of levels ``_bisect`` has taken since the fixture was set up."""
+    levels = [0]
+
+    def counting(t, lo, *args):
+        levels[0] += lo.size
+        return _bisect(t, lo, *args)
+
+    monkeypatch.setattr(eigensolve, "_bisect", counting)
+    return levels
+
+
+@pytest.fixture
 def built_chains(monkeypatch):
     """Sizes of the chains ``converged_levels`` builds after the fixture is set up."""
     sizes = []
@@ -773,6 +787,19 @@ def criterion_9_lapack():
     return lapack_levels(*CRITERION_9[:3])
 
 
+# Levels 20 to 39 at Delta 6, where the Weyl brackets of neighbouring levels overlap.
+DEFLATION_WINDOW = (derive_params(0.45, 6.0), ChainSelector(Branch.PLUS, Parity.EVEN), 20, 1e-8, 20)
+# The couplings of perfbench's sweep workload at seed 0, one per band of SWEEP_G_BANDS.
+SWEEP_COUPLINGS = (0.066888, 0.165159, 0.258411, 0.345178, 0.430225, 0.484049)
+
+
+@pytest.fixture(scope="module")
+def deflation_window_lapack():
+    """Levels of ``DEFLATION_WINDOW`` by LAPACK at twice its first truncation, and their error."""
+    p, chain, levels, _, first = DEFLATION_WINDOW
+    return lapack_levels(p, chain, levels, first)
+
+
 def assert_encloses(s, lapack):
     reference, lapack_error = lapack
     assert np.all(np.abs(s.values - reference) <= s.bounds + lapack_error)
@@ -845,6 +872,29 @@ class TestNewtonGuesses:
             warnings.simplefilter("error", RuntimeWarning)
             s = converged_levels(*CRITERION_9)
         assert_encloses(s, criterion_9_lapack)
+
+    # Newton's slope G(x) = sum_j 1/(x - lambda_j) carries every other level, all
+    # of one sign below the bottom levels, so undeflated steps converge only
+    # linearly there and those levels fall back to multisection: 63 of the two
+    # windows of this table, 36 of the 480 levels of the small spectra.
+    def test_deflation_keeps_windows_on_newton(self, bisected_levels):
+        residual_study(derive_params(0.45, 6.0), Branch.PLUS, 50, 600, 1e-8)
+        assert bisected_levels[0] <= 2
+
+    def test_deflation_keeps_small_spectra_on_newton(self, bisected_levels):
+        for g, branch, parity in itertools.product(SWEEP_COUPLINGS, Branch, Parity):
+            converged_levels(derive_params(g, 1.0), ChainSelector(branch, parity), 20, 1e-10)
+        assert bisected_levels[0] <= 16
+
+    # A deflation costs time, never the certificate: NaN sends every step to
+    # its bracket top, and an infinite or huge one leaves every guess at its start.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300], ids=["nan", "inf", "-inf", "huge"])
+    def test_bad_deflation_certifies(self, monkeypatch, value, criterion_9_lapack, deflation_window_lapack):
+        monkeypatch.setattr(eigensolve, "_deflation", lambda x, *args: np.full(x.shape, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_encloses(converged_levels(*CRITERION_9), criterion_9_lapack)
+            assert_encloses(converged_levels(*DEFLATION_WINDOW), deflation_window_lapack)
 
     # The start is formed after the work budget.
     def test_no_start_past_the_budget(self, monkeypatch):
@@ -926,6 +976,19 @@ class TestDetSlopes:
         # x = 1 is the eigenvalue of the leading 1x1 block, so q_0 = 0.
         t = SymTriMatrix(diag=[1.0, 2.0, 3.0], off=[0.5, 0.5])
         assert not np.isfinite(_det_slopes(t, np.array([1.0]))).any()
+
+    # At g 1e-160 every b^2 is subnormal and the chain is nearly its diagonal.  A shift on
+    # a diagonal leaves a subnormal pivot, whose Im/Re sum overflows once divided by h:
+    # the slope is infinite, with no RuntimeWarning (an error under the suite's filter).
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 6.0])
+    def test_subnormal_pivot_overflows_quietly(self, delta):
+        xs = np.array([16.0, 16.5, -1.0])
+        for branch, parity in itertools.product(Branch, Parity):
+            t = build_chain(derive_params(1e-160, delta), ChainSelector(branch, parity), 17)
+            got = _det_slopes(t, xs)
+            hit = (xs[:, None] == t.diag).any(axis=1)
+            assert np.all(np.isinf(got[hit]))
+            np.testing.assert_allclose(got[~hit], (1.0 / np.subtract.outer(xs[~hit], t.diag)).sum(axis=1))
 
 
 def exact_zero_delta_errors(s, g, parity):
