@@ -8,9 +8,11 @@ Three evaluation routes are provided and cross-validated:
 * :func:`p_fast` — floating log-magnitude + sign evaluation.  The alternating
   sum cancels catastrophically for large degree (sum|T_k| / |P| grows
   roughly like e^{0.27 n} at the model's evaluation point), so it is summed
-  in integers at the (dyadic rational) double argument, floored to 192 + n/2
-  bits (doubled as needed) under an exact running error bound that
-  certifies 64 bits, and only the logarithm of the result is rounded;
+  in integers at the (dyadic rational) double argument, by Horner's rule in
+  4x^2 with its integers kept 192 + n/2 to 256 + n/2 bits long by shifts
+  both ways (the window doubled as needed), under an exact running error
+  bound that certifies 64 bits, and only the logarithm of the result is
+  rounded;
 * :func:`p_asym` — the large-index asymptotic form obtained from the
   hypergeometric ODE by the Liouville transformation (oscillatory envelope
   times cos/sin of a closed-form phase integral), valid for s/lambda -> 0;
@@ -68,36 +70,56 @@ class TurningPointError(ValueError):
 def _exact_sum(n: int, s: int, x: Fraction, bits: int | None = None) -> tuple[int, int, int, int]:
     """Integers (w, err, shift, d) with |P_n^{(s)}(x) d / 2^shift - w| <= err, d > 0.
 
-    With x = u/v and K = n // 2, d = v^n (s+K)! and w = sum_k (-1)^k d_k
-    (2u)^{n-2k}, where d_k = n! (s+K)! v^{2k} / (k! (n-2k)! (s+k)!) are
-    integers reached from d_0 = (s+K)!/s! by exact small-factor steps, and
-    the sum runs by Horner's rule in (2u)^2.  With ``bits`` None it is exact
-    (err = shift = 0).  Otherwise, whenever the sum or the coefficient grows
-    64 bits past ``bits``, both are floored by one right shift, and err and
-    cerr bound their errors in units of 2^shift: Horner's rule with a running
-    error bound (Higham, *Accuracy and Stability*, sec. 5.1), in integers.
+    With x = u/v, K = n // 2 and d = v^n (s+K)!, P d is (2u)^{n-2K} v^{2K}
+    times the sum by Horner's rule in z = 4x^2 of the integers
+    c_k = (-1)^k n! (s+K)! / (k! (n-2k)! (s+k)!): from acc = c = c_0 =
+    (s+K)!/s!, step k = 1 .. K takes c to -c m(m-1) / (k(s+k)), m = n+2-2k,
+    and acc to acc z + c.  With v = v' 2^e, v' odd, c's multiplier carries
+    v'^2, so that z becomes y / 2^{2e}, y = 4u^2:
+
+        c <- floor(-c m(m-1) v'^2 / (k(s+k))),  acc <- floor(acc y / 2^{2e}) + c.
+
+    With ``bits`` None, e = 0, nothing is floored, and the sum is exact with
+    err = shift = 0.  Otherwise acc and c are kept ``bits`` to ``bits`` + 64
+    bits long: longer, both are floored by one right shift, to ``bits``;
+    shorter, both move left, exactly, to ``bits`` + 64 but never past
+    shift = 0, the scale 2^{2eK} (v^{2K} at a double x) where every floor
+    is exact.  err and cerr bound the errors of acc and c: Horner's rule
+    with a running error bound (Higham, *Accuracy and Stability*, sec. 5.1),
+    in integers.  A step takes cerr to the ceiling of its product plus 1
+    for the floor of c, and err to floor(err y / 2^{2e}) + 1 (the ceiling)
+    + 1 (the floor of acc) + cerr; a right shift takes each to its floor
+    plus 2, a left shift scales both.  While shift and err are 0 no floor
+    drops a bit, and neither bound grows.
     """
     u, v = x.numerator, x.denominator
     half = n // 2
-    coeff = math.perm(s + half, half)
+    e = 0 if bits is None else (v & -v).bit_length() - 1
+    e2, v2 = 2 * e, (v >> e) ** 2
     y = 4 * u * u
-    v2 = v * v
-    acc = err = cerr = shift = 0
+    acc = coeff = math.perm(s + half, half)
+    err = cerr = 0
+    shift = e2 * half
     limit = math.inf if bits is None else bits + 64
-    for k in range(half + 1):
-        acc = acc * y + (-coeff if k % 2 else coeff)
-        step, div = v2 * (n - 2 * k) * (n - 2 * k - 1), (k + 1) * (s + k + 1)
-        coeff, rem = divmod(coeff * step, div)
-        if shift:  # err and cerr stay 0 until the first floor
-            err, cerr = err * y + cerr, -(-cerr * step // div) + (rem != 0)
-        top = max(acc.bit_length(), coeff.bit_length())
+    for k, m in zip(range(1, half + 1), range(n, 1, -2)):
+        top = (abs(acc) | abs(coeff)).bit_length()
         if top > limit:
             r = top - bits
             acc, coeff, shift = acc >> r, coeff >> r, shift + r
             err, cerr = (err >> r) + 2, (cerr >> r) + 2
+        elif shift and top < bits:
+            r = min(limit - top, shift)
+            acc, coeff, shift = acc << r, coeff << r, shift - r
+            err, cerr = err << r, cerr << r
+        step, div = m * (1 - m) * v2, k * (s + k)
+        coeff = coeff * step // div
+        acc = (acc * y >> e2) + coeff
+        if shift or err:
+            cerr = 1 - cerr * step // div
+            err = (err * y >> e2) + 2 + cerr
     if n % 2:
         acc, err = acc * 2 * u, err * abs(2 * u)
-    return acc, err, shift, v**n * math.factorial(s + half)
+    return acc, err, shift, (v >> e) ** n * math.factorial(s + half) << e * n
 
 
 def p_exact(n: int, s: int, x: Fraction | int | float) -> Fraction:
@@ -201,7 +223,9 @@ def p_fast_parts(n: int, s: int, x: float) -> PolyValue:
     Read from the integer sum at x taken as a binary fraction u/v, run at
     192 + n/2 bits and doubled until the error bound certifies 64 bits of
     |P| and of |P| - 1 (the logarithm's relative accuracy near |P| = 1).
-    Doubling ends at the exact sum, which alone returns a zero; the log is
+    Doubling ends at the exact sum, which alone returns a zero: once the
+    integers at the exact scale v^{2K} fit the window, the first left shift
+    reaches that scale, no floor drops a bit and err = 0.  The log is
     rounded once.
 
     Raises:

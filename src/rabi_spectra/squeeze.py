@@ -207,10 +207,11 @@ def factorization_residual(n_dim: int, lam: float) -> float:
     form of :func:`_assemble`, and compares it against the exponential
     oracle.  Column n reads P_n^{(s)}(c/t) for every s at once from
     ``polys._p_triangle``, the exact three-term relation in integers, whose
-    values ``p_fast_parts`` certifies to 64 bits from Horner sums floored at
-    192 + n/2 bits or more: so the block agrees with :func:`u_element` to
-    rounding.  Each same-parity entry with m >= n is evaluated once and its
-    mirror is filled by the reflection U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
+    values ``p_fast_parts`` certifies to 64 bits from Horner sums in 4x^2
+    kept 192 + n/2 bits long or more: so the block agrees with
+    :func:`u_element` to rounding.  Each same-parity entry with m >= n is
+    evaluated once and its mirror is filled by the reflection
+    U_{n,m} = (-1)^{(m-n)/2} U_{m,n}.
 
     Raises:
         ValueError: for a dimension outside [4, MAX_ORACLE_DIM], where the

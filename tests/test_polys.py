@@ -139,6 +139,12 @@ class TestFast:
         assert (parts.sign, parts.log_abs, parts.escalated) == (0.0, -math.inf, True)
         assert parts.value == 0.0
 
+    def test_second_dyadic_zero(self):
+        # P_4^(10)(x) = 12 (11t^2 - 12t + 1) / 12!, t = 4x^2, vanishes at x = 1/2.
+        assert p_exact(4, 10, Fraction(1, 2)) == 0
+        parts = p_fast_parts(4, 10, 0.5)
+        assert (parts.sign, parts.log_abs, parts.escalated) == (0.0, -math.inf, True)
+
     def test_non_finite_argument_raises(self):
         for n in (3, 300):
             for x in (math.inf, -math.inf, math.nan):
@@ -241,6 +247,22 @@ def exact_routes():
     return [_exact_sum(n, s, Fraction(x)) for n, s, x in WORKING_PRECISION_GRID]
 
 
+@pytest.fixture
+def kernel_starts(monkeypatch):
+    """The ``bits`` argument of each later _exact_sum call, in call order."""
+    import rabi_spectra.polys as polys
+
+    starts = []
+    kernel = polys._exact_sum
+
+    def spy(n, s, x, bits=None):
+        starts.append(bits)
+        return kernel(n, s, x, bits)
+
+    monkeypatch.setattr(polys, "_exact_sum", spy)
+    return starts
+
+
 def _block_x(g):
     """x = c/t, the argument of P in the factorization block, as the block rounds it."""
     lam = derive_params(g, 1.0).lam
@@ -319,19 +341,19 @@ class TestWorkingPrecision:
         [(0, MODEL_X, 192), (63, MODEL_X, 223), (63, -4.75, 223), (64, MODEL_X, 224),
          (65, MODEL_X, 224), (400, MODEL_X, 392), (40, 1e300, 212), (1, -1e-300, 192)],
     )
-    def test_exact_below_degree_64(self, n, x, bits, monkeypatch):
-        import rabi_spectra.polys as polys
+    def test_exact_below_degree_64(self, n, x, bits, kernel_starts):
+        p_fast_parts(n, 3, x)
+        assert kernel_starts[0] == bits == 192 + n // 2
 
-        starts = []
-        kernel = polys._exact_sum
-
-        def spy(n, s, x, bits=None):
-            starts.append(bits)
-            return kernel(n, s, x, bits)
-
-        monkeypatch.setattr(polys, "_exact_sum", spy)
-        polys.p_fast_parts(n, 3, x)
-        assert starts[0] == bits == 192 + n // 2
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("s", [0, 40])
+    @pytest.mark.parametrize("x", [0.01, 0.05, 0.1, 0.3, 0.6, 1.0, MODEL_X, 4.75, 40.0, -1.7])
+    def test_certifies_at_the_first_start(self, n, s, x, kernel_starts):
+        # Where z = 4x^2 < 1 the integers shrink once the coefficients pass
+        # their peak; moved back up the window, they keep the 192 + n/2 bits
+        # that certify without a doubling.
+        p_fast_parts(n, s, x)
+        assert kernel_starts == [192 + n // 2]
 
     def test_grid_reaches_the_floored_route(self):
         # From degree 64 on, most grid cases floor at the production start, so
@@ -339,11 +361,23 @@ class TestWorkingPrecision:
         from rabi_spectra.polys import _exact_sum
 
         floored = sum(
-            _exact_sum(n, s, Fraction(x), 192 + n // 2)[2] > 0
+            _exact_sum(n, s, Fraction(x), 192 + n // 2)[1] > 0
             for n, s, x in WORKING_PRECISION_GRID
             if n >= 64
         )
         assert floored > 1000
+
+    def test_doubling_ends_at_the_exact_sum(self, exact_routes):
+        # Doubled from the production start, the floored sum reaches err = 0
+        # and there equals the exact one, so p_fast_parts always returns.
+        from rabi_spectra.polys import _exact_sum
+
+        for (n, s, x), (exact, _, _, _) in zip(WORKING_PRECISION_GRID[:300], exact_routes):
+            bits = 192 + n // 2
+            while (found := _exact_sum(n, s, Fraction(x), bits))[1]:
+                bits *= 2
+            w, _, shift, _ = found
+            assert w << shift == exact, (n, s, x, bits)
 
     def test_exact_start_matches_hyper_f(self):
         # The hypergeometric series is an independent exact route to P.
