@@ -213,8 +213,8 @@ _SUITES = {
 
 def cmd_verify(opts: dict[str, Any]) -> int:
     g, delta, dim, suite = opts["g"], opts["delta"], opts["dim"], opts["suite"]
-    if not 8 <= dim <= 512:
-        raise ValueError("--dim must be in [8, 512]")
+    if not 8 <= dim <= squeeze.MAX_ORACLE_DIM:
+        raise ValueError(f"--dim must be in [8, {squeeze.MAX_ORACLE_DIM}]")
     derive_params(g, delta)  # domain gate before any work
     # The V~ rows n <= 25 of the perturb suite recur over Fock indices
     # k <= 2n + 9 at tiny g, with t_j ~ (n - k)/(2g) and |n - k| <= 34, so

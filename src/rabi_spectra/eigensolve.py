@@ -43,7 +43,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -117,30 +117,37 @@ class Spectrum:
             raise ValueError(f"path must be one of {_PATHS}")
 
 
-def _pivot_blocks(t: SymTriMatrix, pivots: np.ndarray, fill: Callable) -> Iterator[np.ndarray]:
+def _pivot_blocks(t: SymTriMatrix, shifts: np.ndarray, last: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Sweep the pivots of ``t`` for many shifts at once, yielding them ``_SWEEP_BLOCK`` sites at a time.
 
-    The pivots of T - x are q_0 = d_0 - x and q_i = (d_i - x) - b_{i-1}^2 /
-    q_{i-1}, one column of ``pivots`` per shift, whose dtype (float for a
-    Sturm count, complex for a complex step) the b^2 are cast to.  For each
-    block of sites from ``start`` on, ``fill(block, start)`` writes d_i - x
-    into the leading rows of the buffer ``pivots``, the pivots overwrite it
-    row by row, unguarded, and the block is yielded; the next block
-    overwrites it, so each block's last pivot is copied out first.  Where
-    b_{i-1}^2 = 0 (i = 0, a zero coupling, or one whose square underflows)
-    the divide is skipped and the pivot restarts at d_i - x, so 0/0 never
-    occurs; :class:`SymTriMatrix` keeps every b^2 and d - x finite.  A zero
-    or tiny pivot makes the next one huge or infinite; callers set the
-    ``np.errstate`` that this needs.
+    The pivots of T - z are q_0 = d_0 - z and q_i = (d_i - z) - b_{i-1}^2 /
+    q_{i-1}, one column per shift z of ``shifts``, in the shifts' dtype
+    (float for a Sturm count, complex for a complex step), which the b^2 are
+    cast to.  With ``last``, shift j sees last_j in place of the last
+    diagonal.  Each block of sites is filled with d_i - z in one buffer of
+    ``_SWEEP_BLOCK`` rows, the pivots overwrite it row by row, unguarded, and
+    the block is yielded; the next block overwrites it, so each block's last
+    pivot is copied out first.  Where b_{i-1}^2 = 0 (i = 0, a zero coupling,
+    or one whose square underflows) the divide is skipped and the pivot
+    restarts at d_i - z, so 0/0 never occurs; :class:`SymTriMatrix` keeps
+    every b^2 and d - z finite.  A zero or tiny pivot makes the next one huge
+    or infinite; callers set the ``np.errstate`` that this needs.
     """
-    off_sq = np.concatenate([[0.0], t.off**2]).astype(pivots.dtype, copy=False)
+    pivots = np.empty((min(_SWEEP_BLOCK, t.n), shifts.size), shifts.dtype)
+    off_sq = np.concatenate([[0.0], t.off**2]).astype(shifts.dtype, copy=False)
     rows = list(pivots)
-    q, ratio = np.empty((2, pivots.shape[1]), pivots.dtype)
+    q, ratio = np.empty((2, shifts.size), shifts.dtype)
     divide, subtract = np.divide, np.subtract
     for start in range(0, t.n, _SWEEP_BLOCK):
         stop = start + min(_SWEEP_BLOCK, t.n - start)
         block = pivots[: stop - start]
-        fill(block, start)
+        # d_i - z, subtracted in place from a copy of the shifts.  numpy buffers the broadcast
+        # subtract in min(block, np.getbufsize()) elements, by default at most 64 KiB float or
+        # 128 KiB complex, whatever the block.
+        np.copyto(block, shifts)
+        subtract(t.diag[start:stop, None], block, block)
+        if last is not None and stop == t.n:
+            subtract(last, shifts, block[-1])
         prev = q
         # b^2 goes in as a 0-d view of its own dtype, which the ufunc reads with no conversion;
         # the list of Python numbers only tests it for zero.  Outputs go positionally: the out=
@@ -183,7 +190,6 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = Non
     last_j - x_j by the same monotonicity.
     """
     xs = np.asarray(xs, dtype=float)
-    pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size))
     count = np.zeros(xs.shape, dtype=np.int64)
     size = np.abs(t.off)
     # The pivot floor f_i at the top shift; a zero coupling's 0/0 fails the gate.
@@ -198,16 +204,9 @@ def _sturm_counts(t: SymTriMatrix, xs: np.ndarray, last: np.ndarray | None = Non
     short = np.flatnonzero(~proved)
     gate = int(short[-1]) + 1 if short.size else 1
 
-    def fill(block: np.ndarray, start: int) -> None:
-        # d_i - x over a copy of the shifts: from xs itself numpy would buffer a second block.
-        np.copyto(block, xs)
-        np.subtract(t.diag[start : start + block.shape[0], None], block, block)
-        if last is not None and start + block.shape[0] == t.n:
-            np.subtract(last, xs, block[-1])
-
     end = 0
     with np.errstate(divide="ignore", over="ignore"):
-        for block in _pivot_blocks(t, pivots, fill):
+        for block in _pivot_blocks(t, xs, last):
             count += np.signbit(block).sum(axis=0)
             end += block.shape[0]
             if gate <= end < t.n and block[-1].min(initial=math.inf) >= size[end - 1]:
@@ -225,16 +224,9 @@ def _det_slopes(t: SymTriMatrix, xs: np.ndarray) -> np.ndarray:
     cancel.  Each site costs a divide and a subtract, as in the count.  A
     zero pivot makes G inf or NaN.
     """
-    pivots = np.empty((min(_SWEEP_BLOCK, t.n), xs.size), dtype=complex)
     total, part = np.zeros(xs.shape), np.empty(xs.shape)
-
-    def fill(block: np.ndarray, start: int) -> None:
-        # The shift's parts go to the views, so that no ufunc casts float to complex.
-        np.subtract(t.diag[start : start + block.shape[0], None], xs, block.real)
-        block.imag = -_SLOPE_STEP
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for block in _pivot_blocks(t, pivots, fill):
+        for block in _pivot_blocks(t, xs + 1j * _SLOPE_STEP):
             # With the last pivot copied out, each q_i'/q_i overwrites Re q_i.
             np.divide(block.imag, block.real, block.real)
             total += block.real.sum(axis=0, out=part)
@@ -285,8 +277,9 @@ def _bisect(
     Each Sturm sweep counts pts = max(1, _SWEEP_SHIFTS // lo.size)
     equally spaced interior points of every bracket at once (Simon, "Bisection
     is not optimal on vector processors", 1989) and cuts the bracket to the
-    sub-interval where the count crosses k, a factor pts + 1 narrower; with
-    pts = 1 this is bisection at the midpoints.  The new lo is the last point
+    sub-interval where the count crosses k, a factor pts + 1 narrower: 20
+    brackets shrink 26-fold per sweep, and past 256 brackets pts = 1, which
+    is bisection at the midpoints.  The new lo is the last point
     of the leading run of points whose count is <= k, and the new hi the
     point after it, so each end either stays at its start or moves to a point
     whose count is on its side of k: the invariant holds even where rounding

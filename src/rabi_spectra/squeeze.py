@@ -25,7 +25,9 @@ Truncation pollutes high indices only, so every residual check is made on
 the top-left quarter block ("certified block") of the truncation, and forms
 only the products that block reads.  The diagonalization of H0 is checked
 there in its eigen-equation form H0 U = U D, whose banded rows reach only
-five rows of U each.
+five rows of U each.  ``rabi-spectra verify`` compares the closed form's
+certified block with the oracle once, and checks the oracle's orthogonality
+on the whole truncation, one Gram matrix per parity block.
 """
 
 from __future__ import annotations

@@ -395,7 +395,9 @@ class TestVerify:
         assert re.search(r"^v_tilde_row_vs_closed_form: \S+ < \S+ PASS$", out, re.M), out
 
     def test_dim_guard(self, tmp_path, capsys):
-        assert run_cli(["verify", "--dim", "1024"], tmp_path) == 2
+        for dim in ("7", "513", "1024"):
+            assert run_cli(["verify", "--dim", dim], tmp_path) == 2
+            assert "--dim must be in [8, 512]" in capsys.readouterr().err
 
     def test_squeeze_suite_small_dim(self, tmp_path, capsys):
         code = run_cli(

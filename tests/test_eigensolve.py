@@ -1045,11 +1045,12 @@ class TestCertificate:
 
     # Delta 6 and 20 exceed twice the level spacing 2 omega, so the Weyl
     # brackets of neighbouring levels overlap; the enclosure needs no
-    # separation and certifies them at the first truncation.
+    # separation and certifies them at the first truncation.  At g 1e-300
+    # every b^2 underflows to 0, so each site of both sweeps skips the divide.
     @pytest.mark.parametrize(
         "g,delta",
-        [(0.2, 1.0), (0.45, 1.0), (0.1, 6.0), (0.05, 20.0)],
-        ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0"],
+        [(0.2, 1.0), (0.45, 1.0), (0.1, 6.0), (0.05, 20.0), (1e-300, 6.0)],
+        ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0", "1e-300-6.0"],
     )
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
     def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, parity):
