@@ -82,7 +82,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with per-level error bounds.
+    """Eigenvalues in level order with per-level error bounds.
 
     ``values`` is a read-only copy of the eigenvalues, and ``truncation_dim``
     records the matrix dimension they came from.
@@ -91,7 +91,8 @@ class Spectrum:
     ``"direct"`` for a solve of the given matrix, ``"a_posteriori"`` when
     every level of an infinite chain is enclosed by its bracket (see
     :func:`converged_levels`).  ``first`` is the index of the lowest level
-    held: ``values[j]`` is level first + j.
+    held: ``values[j]`` and ``bounds[j]`` belong to level first + j, so the
+    values ascend wherever the levels lie farther apart than their bounds.
     """
 
     values: np.ndarray
@@ -311,30 +312,22 @@ def _bisect(
     return lo, hi
 
 
-def _bisect_lowest(t: SymTriMatrix, k: int, tol: float) -> np.ndarray:
-    """Lowest ``k`` eigenvalues, bracketed from the Gershgorin interval to width <= tol.
-
-    Level j starts in the cell of ``_SWEEP_SHIFTS`` points where the running
-    maximum of their counts passes j, so count(lo) <= j < count(hi).
-    """
-    grid = np.linspace(*t.gershgorin(), _SWEEP_SHIFTS + 2)
-    counts = np.maximum.accumulate(_sturm_counts(t, grid[1:-1]))
-    start = np.searchsorted(counts, np.arange(k), side="right")
-    lo, hi = _bisect(t, grid[start], grid[start + 1], tol)
-    return 0.5 * (lo + hi)
-
-
 def eigenvalues_bisection(t: SymTriMatrix, tol: float) -> Spectrum:
-    """All eigenvalues of a symmetric tridiagonal matrix by Sturm multisection.
+    """All eigenvalues of a symmetric tridiagonal matrix by Sturm multisection, in level order.
 
-    Brackets start from the Gershgorin interval, so no eigenvalue estimates
-    are needed from the caller; see :func:`_bisect` for the sweeps, whose
-    number is bounded even for a tol below one ulp of the eigenvalues.
+    No eigenvalue estimates are needed from the caller: level j starts in the
+    cell of ``_SWEEP_SHIFTS`` points of the Gershgorin interval where the
+    running maximum of their counts passes j, so count(lo) <= j < count(hi);
+    see :func:`_bisect` for the sweeps, whose number is bounded even for a
+    tol below one ulp of the eigenvalues.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    vals = _bisect_lowest(t, t.n, tol)
-    return Spectrum(values=np.sort(vals), truncation_dim=t.n, tol=tol)
+    grid = np.linspace(*t.gershgorin(), _SWEEP_SHIFTS + 2)
+    counts = np.maximum.accumulate(_sturm_counts(t, grid[1:-1]))
+    start = np.searchsorted(counts, np.arange(t.n), side="right")
+    lo, hi = _bisect(t, grid[start], grid[start + 1], tol)
+    return Spectrum(values=0.5 * (lo + hi), truncation_dim=t.n, tol=tol)
 
 
 def eigenvalues_dense(a: np.ndarray) -> Spectrum:
@@ -545,6 +538,4 @@ def converged_levels(
     if not certified.all():
         k = first + int(np.argmin(certified))
         raise ConvergenceError(f"level {k} not enclosed to tol={tol!r} at chain dimension {n_dim}")
-    return Spectrum(
-        values=np.sort(values), truncation_dim=n_dim, tol=tol, bounds=bounds, path="a_posteriori", first=first
-    )
+    return Spectrum(values, truncation_dim=n_dim, tol=tol, bounds=bounds, path="a_posteriori", first=first)

@@ -132,14 +132,17 @@ class SymTriMatrix:
 
     Each b^2 and |lo| + |hi| (lo, hi the Gershgorin ends) must be finite too, so that
     the Sturm sweeps meet finite b^2, d - x and lo + hi for every shift x in [lo, hi].
+    Both arrays are held as read-only copies, so they stay as checked.
     """
 
     diag: np.ndarray
     off: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "off", np.asarray(self.off, dtype=float))
+        for name in ("diag", "off"):
+            entries = np.array(getattr(self, name), dtype=float)
+            entries.setflags(write=False)
+            object.__setattr__(self, name, entries)
         if self.diag.ndim != 1 or self.off.ndim != 1:
             raise ValueError("diag and off must be one-dimensional")
         if self.diag.size < 2:

@@ -87,15 +87,18 @@ class SpectrumModel:
     """Tabulated unperturbed eigenvalues and perturbation row norms.
 
     Both tables must be finite, and ``mu`` strictly increasing over the
-    tabulated range; index m of ``row_norms`` holds ||R e_m||.
+    tabulated range; index m of ``row_norms`` holds ||R e_m||.  Both are
+    held as read-only copies, so they stay as checked.
     """
 
     mu: np.ndarray
     row_norms: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "row_norms", np.asarray(self.row_norms, dtype=float))
+        for name in ("mu", "row_norms"):
+            table = np.array(getattr(self, name), dtype=float)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
         if self.mu.size != self.row_norms.size:
             raise ValueError("mu and row_norms must have equal length")
         if not (np.isfinite(self.mu).all() and np.isfinite(self.row_norms).all()):
@@ -383,12 +386,12 @@ def residual_study(
 ) -> list[AsymptoticBreakdown]:
     """Three-term breakdowns with certified eigenvalues for n in [n_min, n_max].
 
-    Fock index n lives at position floor(n/2) of its parity chain, and levels
-    are matched to chain indices in sorted order (no crossing tracking; the
-    asymptotic regime has well-separated levels).  Certified eigenvalues come
-    from :func:`rabi_spectra.eigensolve.converged_levels`, one window of
-    levels n_min // 2 .. n_max // 2 per parity, whose Newton guesses start
-    from this formula; its convergence failures propagate.
+    Fock index n lives at position floor(n/2) of its parity chain and is
+    matched to the certified value of the level with that index, as the
+    Sturm counts prove it: no sort, no crossing tracking.  Certified
+    eigenvalues come from :func:`rabi_spectra.eigensolve.converged_levels`,
+    one window of levels n_min // 2 .. n_max // 2 per parity, whose Newton
+    guesses start from this formula; its convergence failures propagate.
     Every column (numeric, the formula's terms, residual) is computed once
     over the whole range, and each row of the formula's terms equals
     :func:`three_term` of its n.  A g at which the formula overflows at

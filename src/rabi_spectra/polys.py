@@ -296,11 +296,12 @@ def p_fast(n: int, s: int, x: float) -> float:
     return p_fast_parts(n, s, x).value
 
 
-def hyper_f(n: int, m: int, c, z):
+def hyper_f(n: int, m: int, c, z) -> Fraction:
     """Terminating Gauss hypergeometric series F(-n, -m; c; z).
 
-    Exact (Fraction) when ``c`` and ``z`` are exact (int or Fraction); float
-    otherwise.  Used as an oracle through the identities
+    Always an exact Fraction: a float ``c`` or ``z`` is read at its binary
+    value, and a non-finite one raises ValueError.  Used as an oracle
+    through the identities
 
         P_{2n}^{(m-n)}(x)   = (-1)^n (2n)!/(n! m!) F(-n, -m; 1/2; -x^2),
         P_{2n+1}^{(m-n)}(x) = (-1)^n (2n+1)!/(n! m!) 2x F(-n, -m; 3/2; -x^2).
@@ -314,7 +315,8 @@ def hyper_f(n: int, m: int, c, z):
     Raises:
         ValueError: unless both leading parameters are non-positive integers
             (the series would not terminate), or if c is one of 0, -1, ...,
-            -(min(n, m) - 1), where a term divides by zero.
+            -(min(n, m) - 1), where a term divides by zero, or if a float c
+            or z is not finite.
     """
     try:
         n, m = operator.index(n), operator.index(m)
@@ -325,14 +327,8 @@ def hyper_f(n: int, m: int, c, z):
     terms = min(n, m)
     if -c in range(terms):
         raise ValueError(f"c={c!r} makes term {int(1 - c)} of F(-{n}, -{m}; c; z) divide by zero")
-    if not (isinstance(c, (int, Fraction)) and isinstance(z, (int, Fraction))):
-        term = total = 1
-        for k in range(terms):
-            term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
-            total = total + term
-        return total
-    a, b = Fraction(c).as_integer_ratio()
-    p, r = Fraction(z).as_integer_ratio()
+    a, b = (_binary_fraction(c) if isinstance(c, float) else Fraction(c)).as_integer_ratio()
+    p, r = (_binary_fraction(z) if isinstance(z, float) else Fraction(z)).as_integer_ratio()
     num = den = 1
     for k in reversed(range(terms)):
         den *= r * (a + k * b) * (k + 1)

@@ -655,10 +655,8 @@ class TestConvergedLevels:
         chain = ChainSelector(Branch.PLUS, Parity.EVEN)
         tol = 1e-8
         s = converged_levels(p, chain, 100, tol)
-        from rabi_spectra.eigensolve import _bisect_lowest
-
-        again = _bisect_lowest(build_chain(p, chain, 2 * s.truncation_dim), 100, tol / 16)
-        assert float(np.max(np.abs(np.sort(again) - s.values))) < tol
+        again = eigenvalues_bisection(build_chain(p, chain, 2 * s.truncation_dim), tol / 16).values[:100]
+        assert float(np.max(np.abs(again - s.values))) < tol
 
     def test_strong_coupling_terminates_with_larger_truncation(self):
         weak = converged_levels(
@@ -1047,16 +1045,26 @@ class TestCertificate:
     # brackets of neighbouring levels overlap; the enclosure needs no
     # separation and certifies them at the first truncation.  At g 1e-300
     # every b^2 underflows to 0, so each site of both sweeps skips the divide.
+    # At g 0.49 with tol 3 the brackets are wider than the level spacing, and
+    # some values come out of ascending order: each bound must stay with its
+    # own level, as values[j] and bounds[j] both belong to level j.
     @pytest.mark.parametrize(
-        "g,delta",
-        [(0.2, 1.0), (0.45, 1.0), (0.1, 6.0), (0.05, 20.0), (1e-300, 6.0)],
-        ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0", "1e-300-6.0"],
+        "g,delta,tol",
+        [
+            (0.2, 1.0, 1e-10),
+            (0.45, 1.0, 1e-10),
+            (0.1, 6.0, 1e-10),
+            (0.05, 20.0, 1e-10),
+            (1e-300, 6.0, 1e-10),
+            (0.49, 6.0, 3.0),
+        ],
+        ids=["0.2", "0.45", "0.1-6.0", "0.05-20.0", "1e-300-6.0", "0.49-6.0-tol3"],
     )
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
-    def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, parity):
+    def test_bounds_enclose_lapack_at_double_truncation(self, g, delta, tol, parity):
         p = derive_params(g, delta)
         chain = ChainSelector(Branch.PLUS, parity)
-        s = converged_levels(p, chain, 40, 1e-10)
+        s = converged_levels(p, chain, 40, tol)
         assert s.path == "a_posteriori"
         assert s.truncation_dim == _first_truncation(p, chain, 40)
         t = build_chain(p, chain, 2 * s.truncation_dim)

@@ -19,6 +19,7 @@ from rabi_spectra import (
     derive_params,
     eigenvalues_bisection,
     eigenvalues_dense,
+    sturm_count,
 )
 
 EPS = np.finfo(float).eps
@@ -165,6 +166,16 @@ class TestInvariants:
             for branch in Branch:
                 t = build_chain(derive_params(0.3, delta), ChainSelector(branch, Parity.EVEN), 16)
                 np.testing.assert_array_equal(t.off, base.off)
+
+    def test_symtri_arrays_stay_as_checked(self):
+        diag, off = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5])
+        t = SymTriMatrix(diag=diag, off=off)
+        diag[1] = off[0] = math.nan  # the caller's arrays are copied
+        assert sturm_count(t, 1.5) == 2
+        for entries in (t.diag, t.off):
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0] = math.nan
+        assert sturm_count(t, 1.5) == 2
 
     def test_symtri_validation(self):
         with pytest.raises(ValueError):

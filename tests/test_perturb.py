@@ -370,6 +370,17 @@ class TestDeltaN:
         with pytest.raises(DegenerateGapError):
             delta_n(model, 1, 3)
 
+    def test_tables_stay_as_checked(self):
+        mu, norms = np.arange(30, dtype=float), np.ones(30)
+        model = SpectrumModel(mu=mu, row_norms=norms)
+        before = delta_n(model, 5, 29)
+        mu[3] = norms[3] = math.nan  # the caller's arrays are copied
+        assert delta_n(model, 5, 29) == before
+        for table in (model.mu, model.row_norms):
+            with pytest.raises(ValueError, match="read-only"):
+                table[3] = math.nan
+        assert delta_n(model, 5, 29) == before
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             SpectrumModel(mu=np.arange(5, dtype=float), row_norms=np.ones(4))

@@ -516,15 +516,16 @@ class TestIntegerHyperF:
         poles = sum(min(n, m) >= 3 for n in self.INDICES for m in self.INDICES) if c == -2 else 0
         assert raised == poles and compared == len(self.INDICES) ** 2 - poles
 
-    def test_float_path_unchanged(self):
-        # The float path keeps the per-term loop: the same operations, the same bits.
+    def test_floats_read_at_their_binary_value(self):
         for n, m, c, z in ((3, 4, 0.5, 0.3), (40, 60, 1.5, -2.25), (80, 80, 7 / 3, -1e-3)):
-            term = total = 1
-            for k in range(min(n, m)):
-                term = term * (k - n) * (k - m) * z / ((c + k) * (k + 1))
-                total = total + term
-            assert hyper_f(n, m, c, z) == total
-            assert type(hyper_f(n, m, c, Fraction(z))) is float  # a float c takes this path
+            value = hyper_f(n, m, c, z)
+            assert type(value) is Fraction
+            assert value == _hyper_f_per_term(n, m, Fraction(c), Fraction(z))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                hyper_f(3, 4, bad, Fraction(1, 2))
+            with pytest.raises(ValueError, match="finite"):
+                hyper_f(3, 4, Fraction(1, 2), bad)
 
     def test_exact_integers(self):
         assert hyper_f(3, 4, 5, 2) == _hyper_f_per_term(3, 4, 5, Fraction(2))
